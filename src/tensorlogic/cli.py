@@ -235,6 +235,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if not report.disagreements else 1
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensorlogic",
@@ -249,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--formula-file", help="path to a formula file")
     eval_parser.add_argument("--mode", choices=["crisp", "prob"], default="crisp")
     eval_parser.add_argument("--output", choices=["pretty", "records"], default="pretty")
-    eval_parser.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    eval_parser.add_argument("--cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
     eval_parser.set_defaults(handler=_cmd_eval)
 
     table_parser = sub.add_parser("truth-table", help="print a connective tensor and its table")
@@ -263,12 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     show_parser.add_argument("--model", required=True)
     show_parser.add_argument("name")
     show_parser.add_argument("--output", choices=["pretty", "records"], default="pretty")
-    show_parser.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP)
+    show_parser.add_argument("--cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
     show_parser.set_defaults(handler=_cmd_show)
 
     sweep_parser = sub.add_parser("sweep", help="run the tensor-versus-oracle equivalence sweep")
     sweep_parser.add_argument("--seed", type=int, default=0)
-    sweep_parser.add_argument("--max-domain", type=int, default=3)
+    sweep_parser.add_argument("--max-domain", type=positive_int, default=3)
     sweep_parser.add_argument("--max-depth", type=int, default=3)
     sweep_parser.add_argument("--count", type=int, default=1000)
     sweep_parser.add_argument("--report", help="write one JSON record per instance to this file")

@@ -3,10 +3,18 @@
 A :class:`ContractionPlan` is a flat register program: each step loads a
 model-derived tensor or combines registers with one of five instructions
 (contract, pointwise min/max, subset test, nonemptiness test).  Plans are
-compiled bottom-up with no sharing, so the executed steps read off as the
-evaluation trace of the formula; auditability is deliberately preferred over
-speed.  Dimension preconditions of every step are checked at compile time
-from the model's domain size.
+compiled bottom-up with no common subexpressions shared, so the executed
+steps read off as the evaluation trace of the formula.
+
+The tensors a plan loads depend on the model alone, not on the formula that
+applies them.  Each one is built on first use and kept on the model under
+its load note, so every plan over one model loads the same read-only
+objects.  Every load is checked against the element cap before that memo is
+read, and the dimension preconditions of every step are checked at compile
+time from the model's domain size.  :func:`execute` therefore runs the steps
+directly on the payloads' read-only ndarrays; it wraps only the quantifiers'
+operands, which are still checked to be characteristic vectors, and the
+result.
 
 :func:`oracle_eval` is the independent referee: it evaluates the same bound
 AST directly over the model's sets with classical connective semantics and
@@ -18,26 +26,19 @@ model/formula files when given an artifact directory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 from . import dsl
 from .errors import DimensionMismatchError, PlanTooLargeError
 from .model import Model, TruthVec, encode_atom
-from .sets import SetVector, build_set_predicate, exists, forall
-from .tensor import (
-    DEFAULT_ELEMENT_CAP,
-    Tensor,
-    contract,
-    elementwise_max,
-    elementwise_min,
-    ones,
-)
+from .sets import _TRUE_ROW_PROBE, SetVector, build_set_predicate, exists, forall
+from .tensor import DEFAULT_ELEMENT_CAP, Tensor, ones
 from .truth import build_predicate, build_relation, connective_tensor
-
-#: Covector selecting the true-row of a predicate matrix; turning a partially
-#: applied relation into the characteristic vector of its extension.
-_TRUE_ROW_PROBE = Tensor([1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,18 @@ class _PlanBuilder:
         self.steps: list[Instr] = []
         self.shapes: list[tuple[int, ...]] = []
 
-    def load(self, tensor: Tensor, note: str) -> int:
+    def load(self, note: str, shape: tuple[int, ...], build: Callable[[], Tensor]) -> int:
+        """Load the model's tensor named by ``note``, of shape ``shape``.
+
+        The cap is checked first, so a tensor memoised under a larger cap is
+        never handed to a plan compiled under a smaller one.
+        """
+        size = math.prod(shape)
+        if size > self.cap:
+            raise PlanTooLargeError(
+                f"load {note} needs a tensor of {size} elements, above the cap of {self.cap}"
+            )
+        tensor = self.model._memo_tensor(note, build)
         reg = len(self.shapes)
         self.shapes.append(tensor.shape)
         self.steps.append(Instr("load", reg, payload=tensor, note=note))
@@ -115,37 +127,41 @@ class _PlanBuilder:
             )
         return self.emit(op, (a, b), self.shapes[a])
 
+    def load_constant(self, note: str, tensor: Tensor) -> int:
+        return self.load(note, tensor.shape, lambda: tensor)
+
     def load_relation(self, name: str) -> int:
-        decl = self.model.relation_decl(name)
-        size = 2 * self.model.domain_size**decl.arity
-        if size > self.cap:
-            raise PlanTooLargeError(
-                f"relation {name!r} needs a tensor of {size} elements, above the cap of {self.cap}"
-            )
-        built = build_relation(self.model, name, cap=self.cap)
-        return self.load(built.tensor, f"rel:{name}")
+        m = self.model
+        shape = (2,) + (m.domain_size,) * m.relation_decl(name).arity
+        return self.load(f"rel:{name}", shape, lambda: build_relation(m, name, cap=self.cap).tensor)
+
+    def apply(self, reg: int, args: tuple[str, ...]) -> int:
+        """Contract register ``reg`` with each argument's one-hot vector in turn."""
+        m = self.model
+        for arg in args:
+            atom = self.load(f"atom:{arg}", (m.domain_size,), lambda: encode_atom(m, arg))
+            reg = self.contract(reg, atom)
+        return reg
 
     def lower_formula(self, f: dsl.Formula) -> int:
+        m = self.model
         match f:
             case dsl.Atom(pred, arg):
-                p = self.load(build_predicate(self.model, pred).tensor, f"pred:{pred}")
-                a = self.load(encode_atom(self.model, arg), f"atom:{arg}")
-                return self.contract(p, a)
+                p = self.load(
+                    f"pred:{pred}", (2, m.domain_size), lambda: build_predicate(m, pred).tensor
+                )
+                return self.apply(p, (arg,))
             case dsl.RelAtom(rel, args):
-                reg = self.load_relation(rel)
-                for arg in args:
-                    a = self.load(encode_atom(self.model, arg), f"atom:{arg}")
-                    reg = self.contract(reg, a)
-                return reg
+                return self.apply(self.load_relation(rel), args)
             case dsl.Not(body):
                 b = self.lower_formula(body)
-                t = self.load(connective_tensor("not").tensor, "conn:not")
+                t = self.load_constant("conn:not", connective_tensor("not").tensor)
                 return self.contract(t, b)
             case dsl.And() | dsl.Or() | dsl.Implies():
                 kind = {dsl.And: "and", dsl.Or: "or", dsl.Implies: "implies"}[type(f)]
                 left = self.lower_formula(f.left)
                 right = self.lower_formula(f.right)
-                t = self.load(connective_tensor(kind).tensor, f"conn:{kind}")
+                t = self.load_constant(f"conn:{kind}", connective_tensor(kind).tensor)
                 return self.contract(self.contract(t, left), right)
             case dsl.ForAll(subset, superset):
                 x = self.lower_set(subset)
@@ -157,19 +173,18 @@ class _PlanBuilder:
         raise TypeError(f"not a formula node: {f!r}")
 
     def lower_set(self, e: dsl.SetExpr) -> int:
+        m = self.model
+        n = m.domain_size
         match e:
             case dsl.PredSet(name):
                 p = self.load(
-                    build_set_predicate(self.model, name).tensor, f"set-pred:{name}"
+                    f"set-pred:{name}", (n, n), lambda: build_set_predicate(m, name).tensor
                 )
-                one = self.load(ones(self.model.domain_size), "ones")
+                one = self.load("ones", (n,), lambda: ones(n))
                 return self.contract(p, one)
             case dsl.PartialRel(rel, bound):
-                reg = self.load_relation(rel)
-                for arg in bound:
-                    a = self.load(encode_atom(self.model, arg), f"atom:{arg}")
-                    reg = self.contract(reg, a)
-                probe = self.load(_TRUE_ROW_PROBE, "true-row-probe")
+                reg = self.apply(self.load_relation(rel), bound)
+                probe = self.load_constant("true-row-probe", _TRUE_ROW_PROBE)
                 return self.contract(probe, reg)
             case dsl.Intersect(left, right):
                 return self.pointwise("emin", self.lower_set(left), self.lower_set(right))
@@ -194,30 +209,37 @@ def compile_formula(
 def execute(plan: ContractionPlan) -> TruthVec:
     """Run a plan's steps over a register file and return the truth vector.
 
-    Tensor-level errors propagate unchanged; for compiled plans they are
-    unreachable, so any occurrence signals an internal bug.
+    Registers hold plain ndarrays: the payloads' own read-only arrays and
+    the fresh outputs of contraction, ``np.minimum`` and ``np.maximum``,
+    computed exactly as :mod:`tensorlogic.tensor` computes them.  Shapes were
+    checked at compile time; the quantifiers still check that their operands
+    are characteristic vectors, and the result that it is a truth vector.
     """
-    registers: list[Tensor | None] = [None] * plan.register_count
+    registers: list[np.ndarray | None] = [None] * plan.register_count
     for instr in plan.steps:
         match instr.op:
             case "load":
-                value = instr.payload
+                value = instr.payload.array
             case "contract":
-                value = contract(registers[instr.srcs[0]], registers[instr.srcs[1]])
+                # np.tensordot's own reshape-dot-reshape, minus its argument
+                # handling: bitwise the result of tensor.contract.
+                left, right = registers[instr.srcs[0]], registers[instr.srcs[1]]
+                k = right.shape[0]
+                value = np.dot(left.reshape(-1, k), right.reshape(k, -1))
+                value = value.reshape(plan.register_shapes[instr.dest])
             case "emin":
-                value = elementwise_min(registers[instr.srcs[0]], registers[instr.srcs[1]])
+                value = np.minimum(registers[instr.srcs[0]], registers[instr.srcs[1]])
             case "emax":
-                value = elementwise_max(registers[instr.srcs[0]], registers[instr.srcs[1]])
+                value = np.maximum(registers[instr.srcs[0]], registers[instr.srcs[1]])
             case "forall":
-                x = SetVector(registers[instr.srcs[0]])
-                y = SetVector(registers[instr.srcs[1]])
-                value = forall(x, y).to_tensor()
+                x, y = (SetVector(Tensor._wrap(registers[s])) for s in instr.srcs)
+                value = forall(x, y).to_tensor().array
             case "exists":
-                value = exists(SetVector(registers[instr.srcs[0]])).to_tensor()
+                value = exists(SetVector(Tensor._wrap(registers[instr.srcs[0]]))).to_tensor().array
             case _:
                 raise ValueError(f"unknown plan instruction {instr.op!r}")
         registers[instr.dest] = value
-    return TruthVec.from_tensor(registers[plan.result])
+    return TruthVec.from_tensor(Tensor._wrap(registers[plan.result]))
 
 
 def evaluate(f: dsl.Formula, m: Model, *, cap: int = DEFAULT_ELEMENT_CAP) -> TruthVec:

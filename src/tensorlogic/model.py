@@ -16,7 +16,7 @@ cannot be mixed by accident.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -61,6 +61,10 @@ class Model:
     atoms: tuple[DomainAtom, ...]
     predicates: dict[str, frozenset[int]] = field(default_factory=dict)
     relations: dict[str, RelationDecl] = field(default_factory=dict)
+    #: Tensors that plans load, keyed by load note; see :meth:`_memo_tensor`.
+    _tensors: dict[str, Tensor] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if not self.atoms:
@@ -155,6 +159,19 @@ class Model:
             return self.relations[name]
         except KeyError:
             raise UnknownRelationError(name) from None
+
+    def _memo_tensor(self, key: str, build: Callable[[], Tensor]) -> Tensor:
+        """The tensor stored under ``key``, built by ``build`` on first use.
+
+        A model's extensions never change, so neither does a tensor built
+        from them.  Threads that race on a miss may each build, but
+        ``dict.setdefault`` keeps the first one stored and hands that same
+        object to every caller.
+        """
+        tensor = self._tensors.get(key)
+        if tensor is None:
+            tensor = self._tensors.setdefault(key, build())
+        return tensor
 
 
 def encode_atom(m: Model, name: str) -> Tensor:

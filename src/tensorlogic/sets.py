@@ -66,7 +66,7 @@ class SetVector:
             raise NonCharacteristicError(
                 f"set vector entries must be 0 or 1, got {arr.tolist()}"
             )
-        object.__setattr__(self, "tensor", Tensor(np.where(near_one, 1.0, 0.0)))
+        object.__setattr__(self, "tensor", Tensor._wrap(np.where(near_one, 1.0, 0.0)))
 
     @property
     def domain_size(self) -> int:
@@ -107,7 +107,7 @@ def build_set_predicate(m: Model, name: str) -> SetPredicateMatrix:
     diag = np.zeros(m.domain_size)
     for i in extension:
         diag[i] = 1.0
-    return SetPredicateMatrix(Tensor(np.diag(diag)), validate=False)
+    return SetPredicateMatrix(Tensor._wrap(np.diag(diag)), validate=False)
 
 
 def apply_set_predicate(p: SetPredicateMatrix, x: SetVector) -> SetVector:

@@ -55,6 +55,18 @@ class Tensor:
         arr.setflags(write=False)
         self._array = arr
 
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "Tensor":
+        """Freeze and wrap a float64 array this package built, without a copy.
+
+        The caller vouches for rank, shape and size, and keeps no writable
+        reference to ``arr``.
+        """
+        arr.setflags(write=False)
+        tensor = cls.__new__(cls)
+        tensor._array = arr
+        return tensor
+
     @property
     def array(self) -> np.ndarray:
         """The wrapped read-only ndarray."""

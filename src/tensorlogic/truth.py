@@ -44,6 +44,13 @@ def _require_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'crisp' or 'prob', got {mode!r}")
 
 
+def _check_truth_columns(tensor: Tensor, what: str) -> None:
+    """Every entry is 0 or 1, and the two truth slots of each column sum to 1."""
+    arr = tensor.array
+    if not (np.all((arr == 0.0) | (arr == 1.0)) and np.all(arr[0] + arr[1] == 1.0)):
+        raise InvalidPredicateError(f"every {what} must be a truth basis vector")
+
+
 @dataclass(frozen=True)
 class PredicateMatrix:
     """Tensor of shape (2, n): column j is the truth vector of atom j.
@@ -61,12 +68,7 @@ class PredicateMatrix:
                 f"a predicate matrix has shape (2, n), got {self.tensor.shape}"
             )
         if validate:
-            arr = self.tensor.array
-            ok = np.all((arr == 0.0) | (arr == 1.0)) and np.all(arr[0] + arr[1] == 1.0)
-            if not ok:
-                raise InvalidPredicateError(
-                    "every predicate matrix column must be a truth basis vector"
-                )
+            _check_truth_columns(self.tensor, "predicate matrix column")
 
     @property
     def domain_size(self) -> int:
@@ -94,12 +96,7 @@ class RelationTensor:
                 f"an arity-{self.arity} relation tensor has shape (2, n, ..., n), got {shape}"
             )
         if validate:
-            arr = self.tensor.array
-            ok = np.all((arr == 0.0) | (arr == 1.0)) and np.all(arr[0] + arr[1] == 1.0)
-            if not ok:
-                raise InvalidPredicateError(
-                    "every relation tensor truth column must be a truth basis vector"
-                )
+            _check_truth_columns(self.tensor, "relation tensor truth column")
 
     @property
     def domain_size(self) -> int:
@@ -176,7 +173,7 @@ def build_predicate(m: Model, name: str) -> PredicateMatrix:
     arr = np.zeros((2, n))
     for i in range(n):
         arr[0 if i in extension else 1, i] = 1.0
-    return PredicateMatrix(Tensor(arr), validate=False)
+    return PredicateMatrix(Tensor._wrap(arr), validate=False)
 
 
 def build_relation(
@@ -203,8 +200,8 @@ def build_relation(
         arr[(0,) + tuple(reversed(tup))] = 1.0
         arr[(1,) + tuple(reversed(tup))] = 0.0
     if decl.arity == 1:
-        return PredicateMatrix(Tensor(arr, cap=cap), validate=False)
-    return RelationTensor(decl.arity, Tensor(arr, cap=cap), validate=False)
+        return PredicateMatrix(Tensor._wrap(arr), validate=False)
+    return RelationTensor(decl.arity, Tensor._wrap(arr), validate=False)
 
 
 def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> bool:

@@ -188,6 +188,33 @@ class TestSweepCommand:
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("eval", "--cap", "-1", "--formula", "mathematician(john)"),
+            ("eval", "--cap", "0", "--formula", "mathematician(john)"),
+            ("show", "--cap", "-1", "mathematician"),
+        ],
+    )
+    def test_cap_below_one_is_refused(self, model_file, args):
+        result = run_cli(args[0], "--model", model_file, *args[1:])
+        assert result.returncode == 2
+        assert "--cap" in result.stderr and "Traceback" not in result.stderr
+
+    def test_max_domain_below_one_is_refused(self):
+        result = run_cli("sweep", "--max-domain", "0", "--count", "1")
+        assert result.returncode == 2
+        assert "--max-domain" in result.stderr and "Traceback" not in result.stderr
+
+    def test_cap_guards_predicate_loads(self, model_file):
+        # pred:mathematician is a 2 x 3 matrix: 6 elements.
+        result = run_cli("eval", "--model", model_file, "--cap", "5",
+                         "--formula", "mathematician(john)")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:") and "pred:mathematician" in result.stderr
+
+
 class TestInProcessEntryPoint:
     def test_main_returns_exit_code(self, tmp_path, capsys):
         path = tmp_path / "m.model"
