@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TensorLogicError
-from .evaluator import SweepConfig, compile_formula, equivalence_sweep, execute
-from .dsl import parse_formula, parse_model
+from .errors import ElementCapError, TensorLogicError
+from .evaluator import SweepConfig, compile_formula, equivalence_sweep, execute, oracle_eval
+from .dsl import And, Atom, Implies, Not, Or, parse_formula, parse_model
 from .model import Model, truth_bot, truth_top
 from .sets import build_set_predicate, convert_set_to_truth, convert_truth_to_set
 from .tensor import DEFAULT_ELEMENT_CAP
@@ -72,7 +72,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         text = Path(args.formula_file).read_text(encoding="utf-8")
     formula = parse_formula(text, m)
     result = execute(compile_formula(formula, m, cap=args.cap))
-    truth = result.as_bool() if result.is_crisp else result.t > result.f
+    truth = result.as_bool()
     if args.output == "records":
         print(
             json.dumps(
@@ -86,18 +86,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 sort_keys=True,
             )
         )
-    elif args.mode == "prob":
-        print(f"[{_format_number(result.t)}, {_format_number(result.f)}]")
     else:
         print(_GLYPHS[truth])
     return 0 if truth else 1
-
-
-_CLASSICAL_TABLES = {
-    "and": {(True, True): True, (True, False): False, (False, True): False, (False, False): False},
-    "or": {(True, True): True, (True, False): True, (False, True): True, (False, False): False},
-    "implies": {(True, True): True, (True, False): False, (False, True): True, (False, False): True},
-}
 
 
 def _cmd_truth_table(args: argparse.Namespace) -> int:
@@ -115,12 +106,13 @@ def _cmd_truth_table(args: argparse.Namespace) -> int:
                 rows.append(((a, b), connective_binary(name, vec[a], vec[b]).as_bool()))
 
     if args.check:
-        if conn.kind is Connective.NOT:
-            expected = {(True,): False, (False,): True}
-        else:
-            expected = _CLASSICAL_TABLES[name]
+        # One atom, where t holds and f does not: the oracle gives each row's
+        # classical value.
+        model = Model.from_names(["x"], {"t": ["x"], "f": []})
+        node = {"not": Not, "and": And, "or": Or, "implies": Implies}[name]
         for inputs, output in rows:
-            if expected[inputs] != output:
+            leaves = (Atom("t" if x else "f", "x") for x in inputs)
+            if oracle_eval(node(*leaves), model) != output:
                 print(f"self-check failed at inputs {inputs}", file=sys.stderr)
                 return 2
 
@@ -164,6 +156,8 @@ def _cmd_show(args: argparse.Namespace) -> int:
     m = _read_model(args.model)
     name = args.name
     if name in m.predicates:
+        n = m.domain_size
+        ElementCapError.check(name, max(2 * n, n * n), args.cap)
         truth_form = build_predicate(m, name)
         set_form = build_set_predicate(m, name)
         round_trip_ok = (
@@ -249,12 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    eval_parser = sub.add_parser("eval", help="evaluate one formula against a model file")
+    eval_parser = sub.add_parser(
+        "eval", help="evaluate one formula against a model file", allow_abbrev=False
+    )
     eval_parser.add_argument("--model", required=True, help="path to a model file")
     source = eval_parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--formula", help="formula text")
     source.add_argument("--formula-file", help="path to a formula file")
-    eval_parser.add_argument("--mode", choices=["crisp", "prob"], default="crisp")
     eval_parser.add_argument("--output", choices=["pretty", "records"], default="pretty")
     eval_parser.add_argument("--cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
     eval_parser.set_defaults(handler=_cmd_eval)
@@ -262,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     table_parser = sub.add_parser("truth-table", help="print a connective tensor and its table")
     table_parser.add_argument("connective", choices=["not", "and", "or", "implies"])
     table_parser.add_argument("--check", action="store_true",
-                              help="re-verify rows against the classical tables")
+                              help="re-verify rows against the set-theoretic oracle")
     table_parser.add_argument("--output", choices=["pretty", "records"], default="pretty")
     table_parser.set_defaults(handler=_cmd_truth_table)
 
@@ -276,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = sub.add_parser("sweep", help="run the tensor-versus-oracle equivalence sweep")
     sweep_parser.add_argument("--seed", type=int, default=0)
     sweep_parser.add_argument("--max-domain", type=positive_int, default=3)
-    sweep_parser.add_argument("--max-depth", type=int, default=3)
-    sweep_parser.add_argument("--count", type=int, default=1000)
+    sweep_parser.add_argument("--max-depth", type=positive_int, default=3)
+    sweep_parser.add_argument("--count", type=positive_int, default=1000)
     sweep_parser.add_argument("--report", help="write one JSON record per instance to this file")
     sweep_parser.add_argument("--artifacts", help="directory for disagreement dumps")
     sweep_parser.add_argument("--output", choices=["pretty", "records"], default="pretty")
@@ -290,10 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except TensorLogicError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (TensorLogicError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

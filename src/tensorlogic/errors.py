@@ -25,7 +25,14 @@ class NotSquareError(TensorLogicError):
 
 
 class ElementCapError(TensorLogicError):
-    """A tensor construction would exceed the configured element cap."""
+    """A tensor would exceed the element cap; :meth:`check` is the one check."""
+
+    @classmethod
+    def check(cls, what: str, size: int, cap: int) -> None:
+        """Raise ``cls`` if ``size`` elements exceed ``cap``; ``what`` names the
+        tensor and is passed pre-built, so a passing check formats nothing."""
+        if size > cap:
+            raise cls(f"{what} needs a tensor of {size} elements, above the cap of {cap}")
 
 
 class UnknownNameError(TensorLogicError):
@@ -93,5 +100,5 @@ class EmbeddedQuantifierError(ParseError):
     """A quantifier appeared somewhere other than the root of a formula."""
 
 
-class PlanTooLargeError(TensorLogicError):
-    """Compiling a formula would materialize a tensor above the element cap."""
+class PlanTooLargeError(ElementCapError):
+    """A plan load, named by its note, would exceed the element cap."""

@@ -94,11 +94,7 @@ class _PlanBuilder:
         The cap is checked first, so a tensor memoised under a larger cap is
         never handed to a plan compiled under a smaller one.
         """
-        size = math.prod(shape)
-        if size > self.cap:
-            raise PlanTooLargeError(
-                f"load {note} needs a tensor of {size} elements, above the cap of {self.cap}"
-            )
+        PlanTooLargeError.check(note, math.prod(shape), self.cap)
         tensor = self.model._memo_tensor(note, build)
         reg = len(self.shapes)
         self.shapes.append(tensor.shape)

@@ -48,10 +48,7 @@ class Tensor:
             raise RankError("rank-0 tensors are not representable; wrap scalars in shape (1,)")
         if any(dim < 1 for dim in arr.shape):
             raise DimensionMismatchError(f"shape entries must be >= 1, got {arr.shape}")
-        if arr.size > cap:
-            raise ElementCapError(
-                f"tensor of shape {arr.shape} has {arr.size} elements, above the cap of {cap}"
-            )
+        ElementCapError.check("Tensor construction", arr.size, cap)
         arr.setflags(write=False)
         self._array = arr
 

@@ -189,11 +189,7 @@ def build_relation(
     decl = m.relation_decl(name)
     n = m.domain_size
     shape = (2,) + (n,) * decl.arity
-    size = 2 * n**decl.arity
-    if size > cap:
-        raise ElementCapError(
-            f"relation tensor for {name!r} needs {size} elements, above the cap of {cap}"
-        )
+    ElementCapError.check(name, 2 * n**decl.arity, cap)
     arr = np.zeros(shape)
     arr[1] = 1.0
     for tup in decl.tuples:

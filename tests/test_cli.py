@@ -1,12 +1,17 @@
 """Command-line contract: exit codes, pretty output, and JSON records."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tensorlogic.cli as cli
 from tensorlogic.cli import main
+from tensorlogic.model import truth_top
 from tests.conftest import BROWN_DOG_TEXT, LOVES_TEXT, MATHEMATICIAN_TEXT
 
 TOP, BOT = "\u22a4", "\u22a5"
@@ -73,12 +78,13 @@ class TestEvalCommand:
         assert result.stdout.strip() == TOP
 
     def test_prob_mode_output(self, model_file):
+        # Evaluation is always crisp, so there is no --mode flag.
         result = run_cli(
             "eval", "--model", model_file, "--formula", "mathematician(john)",
             "--mode", "prob",
         )
-        assert result.returncode == 0
-        assert result.stdout.strip() == "[1, 0]"
+        assert result.returncode == 2
+        assert "--mode" in result.stderr and "Traceback" not in result.stderr
 
     def test_records_golden_line(self, model_file):
         result = run_cli(
@@ -134,6 +140,11 @@ class TestTruthTableCommand:
             ("T", "T"): "T", ("T", "F"): "T", ("F", "T"): "T", ("F", "F"): "F",
         }
 
+    def test_self_check_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "connective_binary", lambda name, a, b: truth_top())
+        assert main(["truth-table", "and", "--check"]) == 2
+        assert "self-check failed" in capsys.readouterr().err
+
     def test_unknown_connective(self):
         result = run_cli("truth-table", "xor")
         assert result.returncode == 2
@@ -164,6 +175,13 @@ class TestShowCommand:
         record = json.loads(result.stdout)
         assert record["kind"] == "relation" and record["arity"] == 2
         assert record["tensor"][0] == [[1.0, 1.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("cap, code", [("8", 2), ("9", 0)])
+    def test_cap_guards_predicates(self, model_file, cap, code):
+        # The set formulation of a 3-atom predicate is a 3 x 3 matrix.
+        result = run_cli("show", "--model", model_file, "--cap", cap, "mathematician")
+        assert result.returncode == code
+        assert result.stderr.startswith("error:") == (code == 2)
 
     def test_show_unknown_name(self, model_file):
         result = run_cli("show", "--model", model_file, "nothing")
@@ -207,6 +225,14 @@ class TestFlagRanges:
         assert result.returncode == 2
         assert "--max-domain" in result.stderr and "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--count", "-5"), ("--count", "0"), ("--max-depth", "0")]
+    )
+    def test_sweep_sizes_below_one_are_refused(self, flag, value):
+        result = run_cli("sweep", "--max-domain", "2", "--count", "1", flag, value)
+        assert result.returncode == 2
+        assert flag in result.stderr and "Traceback" not in result.stderr
+
     def test_cap_guards_predicate_loads(self, model_file):
         # pred:mathematician is a 2 x 3 matrix: 6 elements.
         result = run_cli("eval", "--model", model_file, "--cap", "5",
@@ -227,3 +253,60 @@ class TestInProcessEntryPoint:
         code = main(["eval", "--model", "/nonexistent.model", "--formula", "p(a)"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def assert_contract(argv):
+    """Run ``main(argv)`` in process: exit 0, 1 or 2, and 2 exactly when
+    stderr starts with ``error:``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error:")
+
+
+# Reproducible, and writes no example database.
+CONTRACT_SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+class TestExitCodeContract:
+    """0 true, 1 false, 2 error with an ``error:`` message, whatever the input."""
+
+    def test_latin1_model_file(self, tmp_path):
+        path = tmp_path / "latin1.model"
+        path.write_bytes("domain e0 caf\xe9\npred p0: e0\n".encode("latin-1"))
+        result = run_cli("eval", "--model", str(path), "--formula", "p0(e0)")
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+
+    def test_latin1_formula_file(self, model_file, tmp_path):
+        path = tmp_path / "latin1.formula"
+        path.write_bytes("mathematician(john) # caf\xe9\n".encode("latin-1"))
+        result = run_cli("eval", "--model", model_file, "--formula-file", str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("contract")
+        (path / "people.model").write_text(MATHEMATICIAN_TEXT)
+        return path
+
+    @CONTRACT_SETTINGS
+    @given(text=st.text(max_size=60))
+    def test_any_formula_text(self, workdir, text):
+        assert_contract(["eval", "--model", str(workdir / "people.model"), f"--formula={text}"])
+
+    @CONTRACT_SETTINGS
+    @given(text=st.text(max_size=60))
+    def test_any_model_text(self, workdir, text):
+        path = workdir / "any-text.model"
+        path.write_text(text, encoding="utf-8")
+        assert_contract(["eval", "--model", str(path), "--formula=p(a)"])
+
+    @CONTRACT_SETTINGS
+    @given(data=st.binary(max_size=60))
+    def test_any_model_bytes(self, workdir, data):
+        path = workdir / "any-bytes.model"
+        path.write_bytes(data)
+        assert_contract(["eval", "--model", str(path), "--formula=p(a)"])

@@ -19,7 +19,7 @@ from tensorlogic.dsl import (
     parse_model,
     print_formula,
 )
-from tensorlogic.errors import PlanTooLargeError
+from tensorlogic.errors import ElementCapError, PlanTooLargeError
 from tensorlogic.evaluator import (
     SweepConfig,
     compile_formula,
@@ -31,7 +31,8 @@ from tensorlogic.evaluator import (
 )
 from tensorlogic.generate import random_formula, random_model
 from tensorlogic.model import Model, truth_bot, truth_top
-from tensorlogic.truth import connective_not
+from tensorlogic.tensor import Tensor
+from tensorlogic.truth import build_relation, connective_not
 from tests.helpers import (
     formulas_up_to_depth,
     leaf_valuation_models,
@@ -100,6 +101,26 @@ class TestCompileAndExecute:
         )
         with pytest.raises(PlanTooLargeError):
             compile_formula(RelAtom("r", ("x0", "x1", "x2")), m, cap=100)
+
+    @pytest.mark.parametrize(
+        "build, what, error",
+        [
+            (lambda m: Tensor([0.0] * 2000, cap=100), "Tensor construction", ElementCapError),
+            (lambda m: build_relation(m, "r", cap=100), "r", ElementCapError),
+            (
+                lambda m: compile_formula(RelAtom("r", ("x0", "x1", "x2")), m, cap=100),
+                "rel:r",
+                PlanTooLargeError,
+            ),
+        ],
+        ids=["Tensor", "build_relation", "compile_formula"],
+    )
+    def test_every_cap_check_has_one_message(self, build, what, error):
+        m = Model.from_names([f"x{i}" for i in range(10)], relations={"r": (3, [])})
+        with pytest.raises(error) as info:
+            build(m)
+        assert isinstance(info.value, ElementCapError)
+        assert str(info.value) == f"{what} needs a tensor of 2000 elements, above the cap of 100"
 
     def test_plan_description_is_readable(self, mathematician_model):
         plan = compile_formula(Atom("mathematician", "tom"), mathematician_model)
