@@ -6,7 +6,8 @@ a model assigns to a named symbol, and ``sweep`` runs the tensor-versus-oracle
 equivalence sweep.
 
 Exit codes are a stable contract: 0 means true (or, for sweep, zero
-disagreements), 1 means false (or disagreements found), 2 means any error.
+disagreements), 1 means false (or disagreements found), 2 means any error
+(for sweep: no disagreement, but some instance exceeded the element cap).
 Pretty output uses the Unicode truth glyphs; records output emits one
 self-describing JSON object per line with ASCII ``T``/``F`` so golden files
 stay portable.
@@ -226,7 +227,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for line in lines:
             print(line)
     print(report.summary())
-    return 0 if not report.disagreements else 1
+    if report.disagreements:
+        return 1
+    if report.errors:
+        failed = f"{len(report.errors)} of {len(report.verdicts)} instances"
+        print(f"error: the tensor path failed on {failed}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def positive_int(text: str) -> int:

@@ -1,7 +1,8 @@
 """Text formats for models and formulas, with parsers and printers.
 
-Model files are newline-delimited statements; ``#`` starts a comment that
-runs to the end of the line::
+Model files hold one statement per line: a statement ends at a newline or
+at the end of the text, and blank lines are skipped.  ``#`` starts a comment
+that runs to the end of the line::
 
     domain john chris tom          # one statement, declaration order matters
     pred mathematician: john chris # extension may be empty
@@ -32,6 +33,10 @@ one open slot, written ``_`` in the last argument position, e.g.
 only legal at the very top of a formula; anywhere else they raise
 :class:`EmbeddedQuantifierError`.
 
+A formula nests at most :data:`MAX_DEPTH` levels deep, counting every
+connective and every pair of parentheses around its deepest atom; deeper text
+is a :class:`ParseError` at the token that crosses the limit.
+
 ``domain``, ``pred``, ``rel``, ``all`` and ``exists`` are reserved words and
 cannot name atoms, predicates, or relations.  Names start with a letter and
 continue with letters, digits, or underscores.
@@ -41,6 +46,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from .errors import (
     ArityError,
@@ -159,13 +166,16 @@ _TOKEN_RE = re.compile(
       | (?P<int>\d+)
       | (?P<underscore>_)
       | (?P<sym>[(),:/~&|])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
+#: Token kinds that end a model statement.
+_STATEMENT_END = ("newline", "eof")
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str  # name | int | underscore | arrow | newline | ( ) , : / ~ & | eof
     text: str
     line: int
@@ -175,23 +185,18 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
         value = match.group()
-        column = pos - line_start + 1
+        column = match.start() - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line, column)
+        tokens.append(_Token(value if kind == "sym" else kind, value, line, column))
         if kind == "newline":
-            tokens.append(_Token("newline", value, line, column))
             line += 1
             line_start = match.end()
-        elif kind == "sym":
-            tokens.append(_Token(value, value, line, column))
-        elif kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, column))
-        pos = match.end()
     tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
@@ -210,11 +215,14 @@ class _TokenStream:
             self._pos += 1
         return token
 
+    def at_statement_end(self) -> bool:
+        return self._tokens[self._pos].kind in _STATEMENT_END
+
     def expect(self, kind: str, what: str | None = None) -> _Token:
         token = self.peek()
         if token.kind != kind:
             expected = what or f"{kind!r}"
-            found = repr(token.text) if token.text else "end of input"
+            found = "end of input" if token.kind in _STATEMENT_END else repr(token.text)
             raise ParseError(f"expected {expected}, found {found}", token.line, token.column)
         return self.advance()
 
@@ -230,86 +238,71 @@ def _expect_name(stream: _TokenStream, what: str) -> _Token:
     return token
 
 
+def _names_to_statement_end(stream: _TokenStream) -> list[str]:
+    names = []
+    while not stream.at_statement_end():
+        names.append(_expect_name(stream, "an atom name").text)
+    return names
+
+
 # ---------------------------------------------------------------------------
 # Model format
 
 
 def parse_model(text: str) -> Model:
     """Parse model text into a validated :class:`Model`."""
-    tokens = _tokenize(text)
-    statements: list[list[_Token]] = []
-    current: list[_Token] = []
-    for token in tokens:
-        if token.kind in ("newline", "eof"):
-            if current:
-                statements.append(current)
-                current = []
-        else:
-            current.append(token)
-
-    if not statements:
-        raise ParseError("empty model: expected a 'domain' statement", 1, 1)
-
-    stream = _TokenStream(statements[0] + [_Token("eof", "", statements[0][-1].line, 0)])
-    head = stream.peek()
-    if not (head.kind == "name" and head.text == "domain"):
-        raise ParseError("model must start with a 'domain' statement", head.line, head.column)
-    stream.advance()
+    stream = _TokenStream(_tokenize(text))
     atom_names: list[str] = []
-    while stream.peek().kind != "eof":
-        atom_names.append(_expect_name(stream, "an atom name").text)
-    if not atom_names:
-        raise stream.error("'domain' needs at least one atom name")
-
     predicates: dict[str, list[str]] = {}
     relations: dict[str, tuple[int, list[tuple[str, ...]]]] = {}
-    for statement in statements[1:]:
-        stream = _TokenStream(statement + [_Token("eof", "", statement[-1].line, 0)])
-        head = stream.peek()
-        if head.kind != "name" or head.text not in ("pred", "rel", "domain"):
-            raise ParseError(
-                "expected a 'pred' or 'rel' statement", head.line, head.column
-            )
-        if head.text == "domain":
-            raise ParseError("only one 'domain' statement is allowed", head.line, head.column)
-        stream.advance()
-        if head.text == "pred":
-            name_token = _expect_name(stream, "a predicate name")
-            if name_token.text in predicates or name_token.text in relations:
-                raise DuplicateNameError(f"symbol {name_token.text!r} declared twice")
-            stream.expect(":")
-            extension: list[str] = []
-            while stream.peek().kind != "eof":
-                extension.append(_expect_name(stream, "an atom name").text)
-            predicates[name_token.text] = extension
-        else:
-            name_token = _expect_name(stream, "a relation name")
-            if name_token.text in predicates or name_token.text in relations:
-                raise DuplicateNameError(f"symbol {name_token.text!r} declared twice")
-            stream.expect("/")
-            arity_token = stream.expect("int", "an arity")
-            arity = int(arity_token.text)
-            if arity < 1:
-                raise ArityError(
-                    f"relation {name_token.text!r} declared with arity {arity}"
+    while (head := stream.advance()).kind != "eof":
+        if head.kind == "newline":
+            continue
+        keyword = head.text if head.kind == "name" else None
+        if not atom_names:
+            if keyword != "domain":
+                raise ParseError(
+                    "model must start with a 'domain' statement", head.line, head.column
                 )
+            atom_names = _names_to_statement_end(stream)
+            if not atom_names:
+                raise stream.error("'domain' needs at least one atom name")
+            continue
+        if keyword == "domain":
+            raise ParseError("only one 'domain' statement is allowed", head.line, head.column)
+        if keyword not in ("pred", "rel"):
+            raise ParseError("expected a 'pred' or 'rel' statement", head.line, head.column)
+        kind = "predicate" if keyword == "pred" else "relation"
+        name = _expect_name(stream, f"a {kind} name").text
+        if name in predicates or name in relations:
+            raise DuplicateNameError(f"symbol {name!r} declared twice")
+        if keyword == "pred":
             stream.expect(":")
-            tuples: list[tuple[str, ...]] = []
-            while stream.peek().kind != "eof":
-                stream.expect("(")
-                members = [_expect_name(stream, "an atom name").text]
-                while stream.peek().kind == ",":
-                    stream.advance()
-                    members.append(_expect_name(stream, "an atom name").text)
-                stream.expect(")")
-                if len(members) != arity:
-                    raise ArityError(
-                        f"tuple {tuple(members)} has length {len(members)}, "
-                        f"relation {name_token.text!r} has arity {arity}"
-                    )
-                tuples.append(tuple(members))
-            relations[name_token.text] = (arity, tuples)
+            predicates[name] = _names_to_statement_end(stream)
+            continue
+        stream.expect("/")
+        arity = int(stream.expect("int", "an arity").text)
+        if arity < 1:
+            raise ArityError(f"relation {name!r} declared with arity {arity}")
+        stream.expect(":")
+        tuples: list[tuple[str, ...]] = []
+        while not stream.at_statement_end():
+            stream.expect("(")
+            members = [_expect_name(stream, "an atom name").text]
+            while stream.peek().kind == ",":
+                stream.advance()
+                members.append(_expect_name(stream, "an atom name").text)
+            stream.expect(")")
+            if len(members) != arity:
+                raise ArityError(
+                    f"tuple {tuple(members)} has length {len(members)}, "
+                    f"relation {name!r} has arity {arity}"
+                )
+            tuples.append(tuple(members))
+        relations[name] = (arity, tuples)
 
+    if not atom_names:
+        raise ParseError("empty model: expected a 'domain' statement", 1, 1)
     return Model.from_names(atom_names, predicates, relations)
 
 
@@ -334,23 +327,50 @@ def print_model(m: Model) -> str:
 # Formula parsing
 
 
+#: The deepest a formula's text may nest: see :class:`_FormulaParser`.  It
+#: bounds the recursion of parsing, compiling and the oracle alike.
+MAX_DEPTH = 100
+
+
+def _too_deep(token: _Token) -> ParseError:
+    return ParseError(
+        f"formula nests deeper than {MAX_DEPTH} levels", token.line, token.column
+    )
+
+
 class _FormulaParser:
+    """Recursive descent over one formula's tokens.
+
+    Every production returns its node with its depth: the largest number of
+    connectives and parenthesis pairs around any one atom in it, so
+    ``p(a)`` has depth 0 and ``~(p(a) & p(a))`` depth 3.  A depth above
+    :data:`MAX_DEPTH` is a :class:`ParseError` at the token that crosses it.
+    The binary chains are loops, but ``~``, ``->`` and parentheses recurse,
+    so ``open`` counts those entered and the descent stops at the limit,
+    long before the interpreter's stack does.
+    """
+
     def __init__(self, tokens: list[_Token], m: Model):
         self.stream = _TokenStream([t for t in tokens if t.kind != "newline"])
         self.model = m
+        self.open = 0
+        # The tighter chain of each layer, bound here so that a level of
+        # nesting costs no extra stack frame for it.
+        self.and_chain = partial(self.chain, self.unary, "&", And)
+        self.set_intersect = partial(self.chain, self.set_arg, "&", Intersect)
 
     def parse(self) -> Formula:
         token = self.stream.peek()
         if token.kind == "name" and token.text in ("all", "exists"):
             self.stream.advance()
             if token.text == "all":
-                subset = self.set_arg()
-                superset = self.set_arg()
+                subset, _ = self.set_arg()
+                superset, _ = self.set_arg()
                 formula: Formula = ForAll(subset, superset)
             else:
-                formula = Exists(self.set_arg())
+                formula = Exists(self.set_arg()[0])
         else:
-            formula = self.implies()
+            formula, _ = self.implies()
         trailing = self.stream.peek()
         if trailing.kind != "eof":
             raise ParseError(
@@ -358,42 +378,67 @@ class _FormulaParser:
             )
         return formula
 
+    # -- depth -------------------------------------------------------------
+
+    def enter(self, token: _Token) -> None:
+        """Descend into the body of ``token``: a ``~``, ``->`` or ``(``."""
+        if self.open >= MAX_DEPTH:
+            raise _too_deep(token)
+        self.open += 1
+
+    @staticmethod
+    def deeper(depth: int, token: _Token) -> int:
+        """Depth of the node ``token`` builds over children at most ``depth`` deep."""
+        if depth >= MAX_DEPTH:
+            raise _too_deep(token)
+        return depth + 1
+
+    def parenthesized(self, inner: Callable[[], tuple[Any, int]]) -> tuple[Any, int]:
+        token = self.stream.advance()
+        self.enter(token)
+        node, depth = inner()
+        self.stream.expect(")")
+        self.open -= 1
+        return node, self.deeper(depth, token)
+
+    def chain(
+        self, operand: Callable[[], tuple[Any, int]], op: str, node_type: type
+    ) -> tuple[Any, int]:
+        """A left-associative chain ``operand (op operand)*``."""
+        node, depth = operand()
+        while (token := self.stream.peek()).kind == op:
+            self.stream.advance()
+            right, right_depth = operand()
+            node, depth = node_type(node, right), self.deeper(max(depth, right_depth), token)
+        return node, depth
+
     # -- truth layer ------------------------------------------------------
 
-    def implies(self) -> Formula:
-        left = self.or_chain()
-        if self.stream.peek().kind == "arrow":
-            self.stream.advance()
-            return Implies(left, self.implies())
-        return left
+    def implies(self) -> tuple[Formula, int]:
+        left, depth = self.chain(self.and_chain, "|", Or)
+        token = self.stream.peek()
+        if token.kind != "arrow":
+            return left, depth
+        self.stream.advance()
+        self.enter(token)
+        right, right_depth = self.implies()
+        self.open -= 1
+        return Implies(left, right), self.deeper(max(depth, right_depth), token)
 
-    def or_chain(self) -> Formula:
-        node = self.and_chain()
-        while self.stream.peek().kind == "|":
-            self.stream.advance()
-            node = Or(node, self.and_chain())
-        return node
+    def unary(self) -> tuple[Formula, int]:
+        token = self.stream.peek()
+        if token.kind != "~":
+            return self.primary()
+        self.stream.advance()
+        self.enter(token)
+        body, depth = self.unary()
+        self.open -= 1
+        return Not(body), self.deeper(depth, token)
 
-    def and_chain(self) -> Formula:
-        node = self.unary()
-        while self.stream.peek().kind == "&":
-            self.stream.advance()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        if self.stream.peek().kind == "~":
-            self.stream.advance()
-            return Not(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
+    def primary(self) -> tuple[Formula, int]:
         token = self.stream.peek()
         if token.kind == "(":
-            self.stream.advance()
-            inner = self.implies()
-            self.stream.expect(")")
-            return inner
+            return self.parenthesized(self.implies)
         if token.kind == "name" and token.text in ("all", "exists"):
             raise EmbeddedQuantifierError(
                 f"quantifier {token.text!r} is only allowed at the root of a formula",
@@ -407,7 +452,7 @@ class _FormulaParser:
             self.stream.advance()
             args.append(self.atom_name())
         self.stream.expect(")")
-        return self.bind_application(name, tuple(args))
+        return self.bind_application(name, tuple(args)), 0
 
     def atom_name(self) -> str:
         token = _expect_name(self.stream, "an atom name")
@@ -433,13 +478,10 @@ class _FormulaParser:
 
     # -- set layer ---------------------------------------------------------
 
-    def set_arg(self) -> SetExpr:
+    def set_arg(self) -> tuple[SetExpr, int]:
         token = self.stream.peek()
         if token.kind == "(":
-            self.stream.advance()
-            inner = self.set_union()
-            self.stream.expect(")")
-            return inner
+            return self.parenthesized(self.set_union)
         if token.kind == "name" and token.text in ("all", "exists"):
             raise EmbeddedQuantifierError(
                 "quantifiers cannot be nested inside set expressions",
@@ -450,7 +492,7 @@ class _FormulaParser:
         # Predicates never take arguments in set position, so a following
         # '(' can only open the next quantifier argument.
         if name.text in self.model.predicates:
-            return PredSet(name.text)
+            return PredSet(name.text), 0
         if name.text not in self.model.relations:
             raise UnknownNameError(name.text, "predicate or relation")
         if self.stream.peek().kind != "(":
@@ -476,21 +518,10 @@ class _FormulaParser:
                 f"partial application of {name.text!r} (arity {arity}) "
                 f"needs {arity - 1} bound arguments, got {len(bound)}"
             )
-        return PartialRel(name.text, tuple(bound))
+        return PartialRel(name.text, tuple(bound)), 0
 
-    def set_union(self) -> SetExpr:
-        node = self.set_intersect()
-        while self.stream.peek().kind == "|":
-            self.stream.advance()
-            node = Union(node, self.set_intersect())
-        return node
-
-    def set_intersect(self) -> SetExpr:
-        node = self.set_arg()
-        while self.stream.peek().kind == "&":
-            self.stream.advance()
-            node = Intersect(node, self.set_arg())
-        return node
+    def set_union(self) -> tuple[SetExpr, int]:
+        return self.chain(self.set_intersect, "|", Union)
 
 
 def parse_formula(text: str, m: Model) -> Formula:
@@ -576,5 +607,11 @@ def _format_set_expr(e: SetExpr) -> str:
 
 
 def print_formula(f: Formula) -> str:
-    """Canonical formula text with minimal parentheses; re-parses to ``f``."""
+    """Canonical formula text with minimal parentheses.
+
+    The text re-parses to ``f`` when its nesting, counted as
+    :func:`parse_formula` counts it, is at most :data:`MAX_DEPTH`; deeper
+    text is a :class:`ParseError`.  A connective's parentheses add a level
+    of their own, so the text can nest deeper than the AST.
+    """
     return _format_formula(f)

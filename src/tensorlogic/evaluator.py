@@ -19,8 +19,9 @@ result.
 :func:`oracle_eval` is the independent referee: it evaluates the same bound
 AST directly over the model's sets with classical connective semantics and
 never touches a tensor.  :func:`equivalence_sweep` runs both paths over
-generated instances and reports every disagreement, dumping re-runnable
-model/formula files when given an artifact directory.
+generated instances and reports every disagreement and every instance whose
+tensor path exceeds the element cap, dumping model/formula files for
+disagreements when given an artifact directory.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import dsl
-from .errors import DimensionMismatchError, PlanTooLargeError
+from .errors import DimensionMismatchError, ElementCapError, PlanTooLargeError
 from .model import Model, TruthVec, encode_atom
 from .sets import _TRUE_ROW_PROBE, SetVector, build_set_predicate, exists, forall
 from .tensor import DEFAULT_ELEMENT_CAP, Tensor, ones
@@ -300,27 +301,35 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class OracleVerdict:
-    """Both verdicts for one instance; ``agree`` ties them together."""
+    """Both verdicts for one instance; ``agree`` ties them together.
+
+    When the tensor path exceeded the element cap, ``error`` holds the
+    :class:`ElementCapError` and there is no tensor result: the instance is
+    neither an agreement nor a disagreement.
+    """
 
     index: int
     model_text: str
     formula_text: str
-    tensor_result: TruthVec
+    tensor_result: TruthVec | None
     oracle_result: bool
     agree: bool
+    error: ElementCapError | None = None
 
     def record(self, seed: int) -> str:
-        return json.dumps(
-            {
-                "seed": seed,
-                "index": self.index,
-                "formula": self.formula_text,
-                "tensor": "T" if self.tensor_result.as_bool() else "F",
-                "oracle": self.oracle_result,
-                "agree": self.agree,
-            },
-            sort_keys=True,
-        )
+        record = {
+            "seed": seed,
+            "index": self.index,
+            "formula": self.formula_text,
+            "oracle": self.oracle_result,
+        }
+        if self.error is None:
+            record["tensor"] = "T" if self.tensor_result.as_bool() else "F"
+            record["agree"] = self.agree
+        else:
+            record["error"] = type(self.error).__name__
+            record["message"] = str(self.error)
+        return json.dumps(record, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -330,16 +339,22 @@ class SweepReport:
 
     @property
     def disagreements(self) -> tuple[OracleVerdict, ...]:
-        return tuple(v for v in self.verdicts if not v.agree)
+        return tuple(v for v in self.verdicts if v.error is None and not v.agree)
+
+    @property
+    def errors(self) -> tuple[OracleVerdict, ...]:
+        return tuple(v for v in self.verdicts if v.error is not None)
 
     def to_lines(self) -> list[str]:
         return [v.record(self.config.seed) for v in self.verdicts]
 
     def summary(self) -> str:
+        agreements = sum(v.agree for v in self.verdicts)
         return (
             f"instances={len(self.verdicts)} "
-            f"agreements={len(self.verdicts) - len(self.disagreements)} "
+            f"agreements={agreements} "
             f"disagreements={len(self.disagreements)} "
+            f"errors={len(self.errors)} "
             f"seed={self.config.seed}"
         )
 
@@ -349,8 +364,10 @@ def equivalence_sweep(
 ) -> SweepReport:
     """Run tensor evaluation against the oracle on seeded random instances.
 
-    Every disagreement becomes a re-runnable pair of files under
-    ``artifact_dir`` when one is given.
+    An :class:`ElementCapError` on one instance's tensor path is recorded on
+    its verdict and the sweep goes on; any other error ends the sweep.  Every
+    disagreement becomes a pair of files under ``artifact_dir`` when one is
+    given (see :func:`dsl.print_formula` for when they re-parse).
     """
     import random
 
@@ -361,13 +378,17 @@ def equivalence_sweep(
     for index in range(config.count):
         m = random_model(rng, max_domain=config.max_domain)
         f = random_formula(rng, m, max_depth=config.max_depth)
-        tensor_result = evaluate(f, m)
+        try:
+            tensor_result, error = evaluate(f, m), None
+        except ElementCapError as err:
+            tensor_result, error = None, err
         oracle_result = oracle_eval(f, m)
-        agree = tensor_result.as_bool() == oracle_result
+        agree = error is None and tensor_result.as_bool() == oracle_result
         verdict = OracleVerdict(
-            index, dsl.print_model(m), dsl.print_formula(f), tensor_result, oracle_result, agree
+            index, dsl.print_model(m), dsl.print_formula(f), tensor_result, oracle_result,
+            agree, error,
         )
-        if not agree and artifact_dir is not None:
+        if error is None and not agree and artifact_dir is not None:
             directory = Path(artifact_dir)
             directory.mkdir(parents=True, exist_ok=True)
             (directory / f"disagreement_{index}.model").write_text(verdict.model_text)

@@ -1,9 +1,12 @@
-"""Shared enumeration helpers for the oracle-equivalence suites."""
+"""Shared test helpers: enumerations for the oracle-equivalence suites,
+deeply nested formula texts, and a faulty tensor path for sweeps."""
 
 import itertools
 
+import tensorlogic.evaluator as evaluator_module
 from tensorlogic.dsl import And, Exists, ForAll, Implies, Intersect, Not, Or, Union
-from tensorlogic.model import Model
+from tensorlogic.errors import PlanTooLargeError
+from tensorlogic.model import Model, truth_bot, truth_top
 
 
 def formulas_up_to_depth(depth, leaves):
@@ -85,3 +88,36 @@ def signature_models(domain_size):
     return [
         signature_model(domain_size, i) for i in range(signature_model_count(domain_size))
     ]
+
+
+# A one-atom model, and six ways to write a formula over it that nests
+# ``depth`` levels deep: name -> (text of that depth, its truth value).
+ONE_ATOM_TEXT = "domain a\npred p: a\n"
+DEEP_SHAPES = {
+    "not": lambda d: ("~" * d + "p(a)", d % 2 == 0),
+    "parens": lambda d: ("(" * d + "p(a)" + ")" * d, True),
+    "and": lambda d: (" & ".join(["p(a)"] * (d + 1)), True),
+    "or": lambda d: (" | ".join(["p(a)"] * (d + 1)), True),
+    "implies": lambda d: (" -> ".join(["p(a)"] * (d + 1)), True),
+    "exists": lambda d: ("exists (" + " & ".join(["p"] * d) + ")", True),
+}
+
+
+SWEEP_ERROR_MESSAGE = "rel:r0 needs a tensor of 99 elements, above the cap of 5"
+
+
+def patch_sweep_tensor_path(monkeypatch, fail_at, lie_at=None, error=PlanTooLargeError):
+    """Make the sweep's ``evaluate`` raise ``error`` on instance ``fail_at``
+    and return the wrong truth value on ``lie_at``."""
+    real, calls = evaluator_module.evaluate, itertools.count()
+
+    def evaluate(f, m, **kwargs):
+        index = next(calls)
+        if index == fail_at:
+            raise error(SWEEP_ERROR_MESSAGE)
+        result = real(f, m, **kwargs)
+        if index == lie_at:
+            return truth_bot() if result.as_bool() else truth_top()
+        return result
+
+    monkeypatch.setattr(evaluator_module, "evaluate", evaluate)

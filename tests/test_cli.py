@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import tensorlogic.cli as cli
 from tensorlogic.cli import main
+from tensorlogic.dsl import MAX_DEPTH
 from tensorlogic.model import truth_top
 from tests.conftest import BROWN_DOG_TEXT, LOVES_TEXT, MATHEMATICIAN_TEXT
+from tests.helpers import DEEP_SHAPES, ONE_ATOM_TEXT, patch_sweep_tensor_path
 
 TOP, BOT = "\u22a4", "\u22a5"
 
@@ -205,6 +207,19 @@ class TestSweepCommand:
         args = ("sweep", "--seed", "9", "--count", "30", "--output", "records")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    def test_an_error_exits_2(self, monkeypatch, capsys):
+        patch_sweep_tensor_path(monkeypatch, fail_at=3)
+        assert main(["sweep", "--seed", "1", "--count", "6"]) == 2
+        out, err = capsys.readouterr()
+        assert "agreements=5 disagreements=0 errors=1 " in out
+        assert err.startswith("error:") and "1 of 6 instances" in err
+
+    def test_a_disagreement_outranks_an_error(self, monkeypatch, capsys):
+        patch_sweep_tensor_path(monkeypatch, fail_at=3, lie_at=4)
+        assert main(["sweep", "--seed", "1", "--count", "6"]) == 1
+        out, err = capsys.readouterr()
+        assert "agreements=4 disagreements=1 errors=1 " in out and err == ""
+
 
 class TestFlagRanges:
     @pytest.mark.parametrize(
@@ -310,3 +325,20 @@ class TestExitCodeContract:
         path = workdir / "any-bytes.model"
         path.write_bytes(data)
         assert_contract(["eval", "--model", str(path), "--formula=p(a)"])
+
+    # The shapes nest ``depth`` levels deep; past MAX_DEPTH each is an error.
+    @CONTRACT_SETTINGS
+    @given(shape=st.sampled_from(sorted(DEEP_SHAPES)), depth=st.integers(1, 3000))
+    def test_deep_formulas(self, workdir, shape, depth):
+        path = workdir / "one-atom.model"
+        path.write_text(ONE_ATOM_TEXT)
+        text, truth = DEEP_SHAPES[shape](depth)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["eval", "--model", str(path), f"--formula={text}"])
+        if depth > MAX_DEPTH:
+            assert code == 2
+            assert err.getvalue().startswith("error: formula nests deeper than")
+            assert "(line 1, column " in err.getvalue()
+        else:
+            assert (code, err.getvalue()) == (0 if truth else 1, "")

@@ -16,6 +16,7 @@ from tensorlogic.dsl import (
     PartialRel,
     PredSet,
     RelAtom,
+    MAX_DEPTH,
     Union,
     parse_formula,
     parse_model,
@@ -30,8 +31,10 @@ from tensorlogic.errors import (
     UnknownAtomError,
     UnknownNameError,
 )
+from tensorlogic.evaluator import evaluate, oracle_eval
 from tensorlogic.generate import random_formula, random_model
 from tests.conftest import BROWN_DOG_TEXT, GREEK_TEXT, LOVES_TEXT, MATHEMATICIAN_TEXT
+from tests.helpers import DEEP_SHAPES, ONE_ATOM_TEXT
 
 
 class TestParseModel:
@@ -267,3 +270,81 @@ class TestModelEquality:
 
     def test_domain_order_matters(self):
         assert parse_model("domain x y") != parse_model("domain y x")
+
+
+# Each malformed model text with the error it must raise: class, message and
+# 1-based (line, column).  An error at the end of a statement points just
+# past its last token.  DuplicateNameError carries no position (0, 0 here).
+MALFORMED_MODELS = [
+    ("", ParseError, "empty model: expected a 'domain' statement", 1, 1),
+    ("\n# only a comment\n\n", ParseError, "empty model: expected a 'domain' statement", 1, 1),
+    ("pred p: a", ParseError, "model must start with a 'domain' statement", 1, 1),
+    ("domain a\ndomain b", ParseError, "only one 'domain' statement is allowed", 2, 1),
+    ("domain a\nfoo p: a", ParseError, "expected a 'pred' or 'rel' statement", 2, 1),
+    ("domain a\n42", ParseError, "expected a 'pred' or 'rel' statement", 2, 1),
+    ("domain a\npred p a", ParseError, "expected ':', found 'a'", 2, 8),
+    ("domain a\nrel r 2: (a, a)", ParseError, "expected '/', found '2'", 2, 7),
+    ("domain a\nrel r/: (a, a)", ParseError, "expected an arity, found ':'", 2, 7),
+    ("domain a\nrel r/2 (a, a)", ParseError, "expected ':', found '('", 2, 9),
+    ("domain a\nrel r/2: a", ParseError, "expected '(', found 'a'", 2, 10),
+    ("domain a\nrel r/2: (a,)", ParseError, "expected an atom name, found ')'", 2, 13),
+    ("domain all", ParseError, "'all' is a reserved word", 1, 8),
+    ("domain a\npred exists: a", ParseError, "'exists' is a reserved word", 2, 6),
+    ("domain a\nrel pred/1: (a)", ParseError, "'pred' is a reserved word", 2, 5),
+    ("domain a $", ParseError, "unexpected character '$'", 1, 10),
+    ("# c\n\n \ndomain a\npred p: a\nrel r/2: (a a)", ParseError, "expected ')', found 'a'", 6, 13),
+    ("\n# c\ndomain a\npred p:\npred p:", DuplicateNameError, "symbol 'p' declared twice", 0, 0),
+    ("domain\npred p:", ParseError, "'domain' needs at least one atom name", 1, 7),
+    ("domain a\npred", ParseError, "expected a predicate name, found end of input", 2, 5),
+    ("domain a\nrel r/", ParseError, "expected an arity, found end of input", 2, 7),
+    ("domain a\nrel r/2", ParseError, "expected ':', found end of input", 2, 8),
+    ("domain a\nrel r/2: (a, a", ParseError, "expected ')', found end of input", 2, 15),
+]
+
+
+@pytest.mark.parametrize("text,error,message,line,column", MALFORMED_MODELS)
+def test_malformed_model_errors(text, error, message, line, column):
+    with pytest.raises(error) as info:
+        parse_model(text)
+    assert type(info.value) is error
+    if error is DuplicateNameError:  # carries no position
+        assert str(info.value) == message
+    else:
+        assert info.value.bare_message == message
+        assert (info.value.line, info.value.column) == (line, column)
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_at_the_limit_parses_and_evaluates(self, shape):
+        m = parse_model(ONE_ATOM_TEXT)
+        text, truth = DEEP_SHAPES[shape](MAX_DEPTH)
+        f = parse_formula(text, m)
+        assert evaluate(f, m).as_bool() is truth is oracle_eval(f, m)
+
+    # One level past the limit, the error points at the token that crosses
+    # it: the 101st '~', '(' or '->', the 101st '&' or '|' of a chain, and
+    # for ``exists (p & ... & p)`` the parenthesis around its 100 '&'.
+    @pytest.mark.parametrize(
+        "shape,column",
+        [("not", 101), ("parens", 101), ("and", 706), ("or", 706), ("implies", 806),
+         ("exists", 8)],
+    )
+    def test_one_past_the_limit_is_a_positioned_error(self, shape, column):
+        text, _ = DEEP_SHAPES[shape](MAX_DEPTH + 1)
+        with pytest.raises(ParseError) as info:
+            parse_formula("\n" + text, parse_model(ONE_ATOM_TEXT))
+        assert info.value.bare_message == f"formula nests deeper than {MAX_DEPTH} levels"
+        assert (info.value.line, info.value.column) == (2, column)
+
+    def test_depth_counts_connectives_and_parentheses_together(self):
+        m = parse_model(ONE_ATOM_TEXT)
+        half = MAX_DEPTH // 2
+        parse_formula("~(" * half + "p(a)" + ")" * half, m)
+        with pytest.raises(ParseError):
+            parse_formula("~(" * half + "~p(a)" + ")" * half, m)
+        # A chain's first operand sits one level deeper per operator.
+        chain = " & ".join(["p(a)"] * half)
+        parse_formula("~" * (MAX_DEPTH - half) + "p(a) & " + chain, m)
+        with pytest.raises(ParseError):
+            parse_formula("~" * (MAX_DEPTH - half + 1) + "p(a) & " + chain, m)

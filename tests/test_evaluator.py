@@ -19,7 +19,12 @@ from tensorlogic.dsl import (
     parse_model,
     print_formula,
 )
-from tensorlogic.errors import ElementCapError, PlanTooLargeError
+from tensorlogic.errors import (
+    DimensionMismatchError,
+    ElementCapError,
+    PlanTooLargeError,
+    TensorLogicError,
+)
 from tensorlogic.evaluator import (
     SweepConfig,
     compile_formula,
@@ -34,8 +39,10 @@ from tensorlogic.model import Model, truth_bot, truth_top
 from tensorlogic.tensor import Tensor
 from tensorlogic.truth import build_relation, connective_not
 from tests.helpers import (
+    SWEEP_ERROR_MESSAGE,
     formulas_up_to_depth,
     leaf_valuation_models,
+    patch_sweep_tensor_path,
     quantified_formulas,
     set_exprs_up_to_depth,
     signature_models,
@@ -251,6 +258,30 @@ class TestEquivalenceSweep:
             dumped_model = parse_model(model_file.read_text())
             reparsed = parse_formula(formula_file.read_text(), dumped_model)
             assert print_formula(reparsed) == verdict.formula_text
+
+    def test_tensor_path_errors_are_recorded_per_instance(self, tmp_path, monkeypatch):
+        patch_sweep_tensor_path(monkeypatch, fail_at=2)
+        report = equivalence_sweep(SweepConfig(seed=1, count=5), artifact_dir=tmp_path)
+        assert len(report.verdicts) == 5 and report.disagreements == ()
+        (failed,) = report.errors
+        assert failed.index == 2 and failed.tensor_result is None and not failed.agree
+        assert isinstance(failed.error, PlanTooLargeError)
+        assert "instances=5 agreements=4 disagreements=0 errors=1 " in report.summary()
+        assert json.loads(report.to_lines()[2]) == {
+            "seed": 1,
+            "index": 2,
+            "formula": failed.formula_text,
+            "oracle": failed.oracle_result,
+            "error": "PlanTooLargeError",
+            "message": SWEEP_ERROR_MESSAGE,
+        }
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [DimensionMismatchError, TensorLogicError])
+    def test_other_tensor_path_errors_end_the_sweep(self, monkeypatch, error):
+        patch_sweep_tensor_path(monkeypatch, fail_at=2, error=error)
+        with pytest.raises(error, match=SWEEP_ERROR_MESSAGE):
+            equivalence_sweep(SweepConfig(seed=1, count=5))
 
     def test_no_artifacts_written_on_agreement(self, tmp_path):
         equivalence_sweep(SweepConfig(seed=11, count=50), artifact_dir=tmp_path)
