@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ElementCapError, TensorLogicError
 from .evaluator import SweepConfig, compile_formula, equivalence_sweep, execute, oracle_eval
 from .dsl import And, Atom, Implies, Not, Or, parse_formula, parse_model
+from .generate import MAX_ARITY
 from .model import Model, truth_bot, truth_top
 from .sets import build_set_predicate, convert_set_to_truth, convert_truth_to_set
 from .tensor import DEFAULT_ELEMENT_CAP
@@ -243,6 +244,22 @@ def positive_int(text: str) -> int:
     return value
 
 
+def sweep_domain(text: str) -> int:
+    """A ``--max-domain`` at which every generated model fits the element cap.
+
+    The largest relation a sweep generates has arity ``MAX_ARITY`` over
+    ``--max-domain`` atoms; refusing the flag up front keeps the sweep from
+    listing all of its tuples before any cap check.
+    """
+    value = positive_int(text)
+    what = f"a random arity-{MAX_ARITY} relation over {value} atoms"
+    try:
+        ElementCapError.check(what, 2 * value**MAX_ARITY, DEFAULT_ELEMENT_CAP)
+    except ElementCapError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensorlogic",
@@ -277,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_parser = sub.add_parser("sweep", help="run the tensor-versus-oracle equivalence sweep")
     sweep_parser.add_argument("--seed", type=int, default=0)
-    sweep_parser.add_argument("--max-domain", type=positive_int, default=3)
+    sweep_parser.add_argument("--max-domain", type=sweep_domain, default=3)
     sweep_parser.add_argument("--max-depth", type=positive_int, default=3)
     sweep_parser.add_argument("--count", type=positive_int, default=1000)
     sweep_parser.add_argument("--report", help="write one JSON record per instance to this file")

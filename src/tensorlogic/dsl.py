@@ -54,7 +54,6 @@ from .errors import (
     DuplicateNameError,
     EmbeddedQuantifierError,
     ParseError,
-    UnknownAtomError,
     UnknownNameError,
 )
 from .model import Model
@@ -456,8 +455,7 @@ class _FormulaParser:
 
     def atom_name(self) -> str:
         token = _expect_name(self.stream, "an atom name")
-        if token.text not in self.model.atom_names:
-            raise UnknownAtomError(token.text)
+        self.model.atom_index(token.text)
         return token.text
 
     def bind_application(self, name: _Token, args: tuple[str, ...]) -> Formula:

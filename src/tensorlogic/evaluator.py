@@ -6,15 +6,24 @@ model-derived tensor or combines registers with one of five instructions
 compiled bottom-up with no common subexpressions shared, so the executed
 steps read off as the evaluation trace of the formula.
 
+A relation is never loaded whole.  Applying it loads the (2, n) slice that
+fixes every argument but the last, built from the relation's tuples and
+noted ``rel:loves(j,_)``; a full application then contracts that slice with
+the last argument's one-hot vector, as a predicate application does, and a
+partial application reads the slice's true row.  So no plan holds a
+relation tensor of rank above 2.
+
 The tensors a plan loads depend on the model alone, not on the formula that
 applies them.  Each one is built on first use and kept on the model under
 its load note, so every plan over one model loads the same read-only
-objects.  Every load is checked against the element cap before that memo is
-read, and the dimension preconditions of every step are checked at compile
-time from the model's domain size.  :func:`execute` therefore runs the steps
-directly on the payloads' read-only ndarrays; it wraps only the quantifiers'
-operands, which are still checked to be characteristic vectors, and the
-result.
+objects.  A relation of arity k has at most n^(k-1) slices, one per bound
+prefix, so its slices in that memo never hold more than the 2 n^k elements
+of its dense tensor.  Every load is checked against the element cap before
+the memo is read, and the dimension preconditions of every step are checked
+at compile time from the model's domain size.  :func:`execute` therefore
+runs the steps directly on the payloads' read-only ndarrays; it wraps only
+the quantifiers' operands, which are still checked to be characteristic
+vectors, and the result.
 
 :func:`oracle_eval` is the independent referee: it evaluates the same bound
 AST directly over the model's sets with classical connective semantics and
@@ -39,7 +48,7 @@ from .errors import DimensionMismatchError, ElementCapError, PlanTooLargeError
 from .model import Model, TruthVec, encode_atom
 from .sets import _TRUE_ROW_PROBE, SetVector, build_set_predicate, exists, forall
 from .tensor import DEFAULT_ELEMENT_CAP, Tensor, ones
-from .truth import build_predicate, build_relation, connective_tensor
+from .truth import build_predicate, build_relation_slice, connective_tensor
 
 
 @dataclass(frozen=True)
@@ -127,18 +136,19 @@ class _PlanBuilder:
     def load_constant(self, note: str, tensor: Tensor) -> int:
         return self.load(note, tensor.shape, lambda: tensor)
 
-    def load_relation(self, name: str) -> int:
+    def load_slice(self, rel: str, bound: tuple[str, ...]) -> int:
+        """Load the (2, n) slice of ``rel`` with its first arguments ``bound``."""
         m = self.model
-        shape = (2,) + (m.domain_size,) * m.relation_decl(name).arity
-        return self.load(f"rel:{name}", shape, lambda: build_relation(m, name, cap=self.cap).tensor)
+        note = f"rel:{rel}({','.join(bound + ('_',))})"
+        return self.load(
+            note, (2, m.domain_size), lambda: build_relation_slice(m, rel, bound).tensor
+        )
 
-    def apply(self, reg: int, args: tuple[str, ...]) -> int:
-        """Contract register ``reg`` with each argument's one-hot vector in turn."""
+    def apply(self, reg: int, arg: str) -> int:
+        """Contract register ``reg`` with the one-hot vector of atom ``arg``."""
         m = self.model
-        for arg in args:
-            atom = self.load(f"atom:{arg}", (m.domain_size,), lambda: encode_atom(m, arg))
-            reg = self.contract(reg, atom)
-        return reg
+        atom = self.load(f"atom:{arg}", (m.domain_size,), lambda: encode_atom(m, arg))
+        return self.contract(reg, atom)
 
     def lower_formula(self, f: dsl.Formula) -> int:
         m = self.model
@@ -147,9 +157,9 @@ class _PlanBuilder:
                 p = self.load(
                     f"pred:{pred}", (2, m.domain_size), lambda: build_predicate(m, pred).tensor
                 )
-                return self.apply(p, (arg,))
+                return self.apply(p, arg)
             case dsl.RelAtom(rel, args):
-                return self.apply(self.load_relation(rel), args)
+                return self.apply(self.load_slice(rel, args[:-1]), args[-1])
             case dsl.Not(body):
                 b = self.lower_formula(body)
                 t = self.load_constant("conn:not", connective_tensor("not").tensor)
@@ -180,7 +190,7 @@ class _PlanBuilder:
                 one = self.load("ones", (n,), lambda: ones(n))
                 return self.contract(p, one)
             case dsl.PartialRel(rel, bound):
-                reg = self.apply(self.load_relation(rel), bound)
+                reg = self.load_slice(rel, bound)
                 probe = self.load_constant("true-row-probe", _TRUE_ROW_PROBE)
                 return self.contract(probe, reg)
             case dsl.Intersect(left, right):

@@ -16,13 +16,16 @@ import random
 from . import dsl
 from .model import Model
 
+#: The largest relation arity :func:`random_model` draws by default.
+MAX_ARITY = 3
+
 
 def random_model(
     rng: random.Random,
     max_domain: int = 5,
     n_predicates: int = 2,
     n_relations: int = 1,
-    max_arity: int = 3,
+    max_arity: int = MAX_ARITY,
 ) -> Model:
     """A model with atoms a0..a(n-1), predicates p0.., and relations r0.. ."""
     n = rng.randint(1, max_domain)

@@ -65,13 +65,19 @@ class Model:
     _tensors: dict[str, Tensor] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
+    #: Atom names in domain order, and each name's index.
+    _names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    _index: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.atoms:
             raise DimensionMismatchError("a model needs at least one domain atom")
-        names = [a.name for a in self.atoms]
-        if len(set(names)) != len(names):
-            raise DuplicateNameError(f"duplicate atom names in {names}")
+        names = tuple(a.name for a in self.atoms)
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
+            raise DuplicateNameError(f"duplicate atom names in {list(names)}")
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_index", index)
         for i, atom in enumerate(self.atoms):
             if atom.index != i:
                 raise DimensionMismatchError(
@@ -81,7 +87,7 @@ class Model:
         symbol_names = list(self.predicates) + list(self.relations)
         seen: set[str] = set()
         for name in symbol_names:
-            if name in seen or name in set(names):
+            if name in seen or name in index:
                 raise DuplicateNameError(f"symbol name {name!r} is already declared")
             seen.add(name)
         for name, extension in self.predicates.items():
@@ -115,23 +121,19 @@ class Model:
         """
         atoms = tuple(DomainAtom(name, i) for i, name in enumerate(atom_names))
         index = {a.name: a.index for a in atoms}
-
-        def resolve(name: str, owner: str) -> int:
-            if name not in index:
-                raise UnknownAtomError(f"{name!r} in {owner}")
-            return index[name]
-
-        preds = {
-            p: frozenset(resolve(a, f"predicate {p!r}") for a in ext)
-            for p, ext in (predicates or {}).items()
-        }
-        rels = {
-            r: RelationDecl(
-                arity,
-                frozenset(tuple(resolve(a, f"relation {r!r}") for a in tup) for tup in tuples),
-            )
-            for r, (arity, tuples) in (relations or {}).items()
-        }
+        preds = {}
+        for p, ext in (predicates or {}).items():
+            try:
+                preds[p] = frozenset([index[a] for a in ext])
+            except KeyError as err:
+                raise UnknownAtomError(f"{err.args[0]!r} in predicate {p!r}") from None
+        rels = {}
+        for r, (arity, tuples) in (relations or {}).items():
+            try:
+                resolved = frozenset([tuple([index[a] for a in tup]) for tup in tuples])
+            except KeyError as err:
+                raise UnknownAtomError(f"{err.args[0]!r} in relation {r!r}") from None
+            rels[r] = RelationDecl(arity, resolved)
         return cls(atoms, preds, rels)
 
     @property
@@ -140,13 +142,13 @@ class Model:
 
     @property
     def atom_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.atoms)
+        return self._names
 
     def atom_index(self, name: str) -> int:
-        for atom in self.atoms:
-            if atom.name == name:
-                return atom.index
-        raise UnknownAtomError(name)
+        try:
+            return self._index[name]
+        except KeyError:
+            raise UnknownAtomError(name) from None
 
     def predicate_extension(self, name: str) -> frozenset[int]:
         try:

@@ -10,7 +10,9 @@ Argument order convention: the rightmost domain index of a relation tensor
 corresponds to the first argument of the relation.  Contraction consumes the
 rightmost index, so feeding arguments in surface order (subject first) is
 correct, and partially applied relations remain well-formed relational
-tensors.
+tensors.  :func:`build_relation_slice` builds the predicate matrix that
+binding every argument but the last leaves, straight from the relation's
+tuples and without the dense tensor; plans load relations only that way.
 
 Connectives are constant tensors over the truth space: negation is the 2 x 2
 swap matrix, and each binary connective is a 2 x 2 x 2 tensor whose last index
@@ -198,6 +200,34 @@ def build_relation(
     if decl.arity == 1:
         return PredicateMatrix(Tensor._wrap(arr), validate=False)
     return RelationTensor(decl.arity, Tensor._wrap(arr), validate=False)
+
+
+def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> PredicateMatrix:
+    """Predicate matrix of a relation with every argument but the last bound.
+
+    ``bound`` names the first arity - 1 arguments, first argument first, and
+    column j is the truth of the relation at ``bound`` followed by atom j.
+    The argument order is that of :func:`build_relation`: its tensor holds
+    tuple (t1, ..., tk) at domain indices (tk, ..., t1), so contracting it
+    with the one-hot vectors of t1, ..., t(k-1) in that order leaves the
+    index of tk.  The result is therefore bitwise
+    ``partial_apply(build_relation(m, name), one-hots of bound)``, filled
+    straight from the tuples in 2n elements rather than 2n^k.
+    """
+    decl = m.relation_decl(name)
+    if len(bound) != decl.arity - 1:
+        raise ArityError(
+            f"a slice of {name!r} (arity {decl.arity}) binds {decl.arity - 1} "
+            f"arguments, got {len(bound)}"
+        )
+    prefix = tuple(m.atom_index(b) for b in bound)
+    k = len(prefix)
+    true_columns = [tup[-1] for tup in decl.tuples if tup[:k] == prefix]
+    arr = np.zeros((2, m.domain_size))
+    arr[1] = 1.0
+    arr[0, true_columns] = 1.0
+    arr[1, true_columns] = 0.0
+    return PredicateMatrix(Tensor._wrap(arr), validate=False)
 
 
 def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> bool:

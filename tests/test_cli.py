@@ -240,6 +240,18 @@ class TestFlagRanges:
         assert result.returncode == 2
         assert "--max-domain" in result.stderr and "Traceback" not in result.stderr
 
+    def test_max_domain_above_the_cap_is_refused(self):
+        # Sweeps draw relations up to arity 3: 2 * 170^3 = 9,826,000 elements
+        # fit the default cap of 10,000,000, and 2 * 171^3 = 10,000,422 do not.
+        assert cli.build_parser().parse_args(["sweep", "--max-domain", "170"]).max_domain == 170
+        result = run_cli("sweep", "--max-domain", "171", "--count", "1")
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("usage:") and "Traceback" not in result.stderr
+        assert (
+            "argument --max-domain: a random arity-3 relation over 171 atoms needs a "
+            "tensor of 10000422 elements, above the cap of 10000000"
+        ) in result.stderr
+
     @pytest.mark.parametrize(
         "flag, value", [("--count", "-5"), ("--count", "0"), ("--max-depth", "0")]
     )

@@ -79,9 +79,9 @@ class TestCompileAndExecute:
 
     def test_partial_relation_lowering(self, loves_model):
         plan = compile_formula(Exists(PartialRel("loves", ("j",))), loves_model)
-        assert [instr.op for instr in plan.steps] == [
-            "load", "load", "contract", "load", "contract", "exists",
-        ]
+        assert [instr.op for instr in plan.steps] == ["load", "load", "contract", "exists"]
+        assert plan.steps[0].note == "rel:loves(j,_)"
+        assert plan.register_shapes[0] == (2, 2)
         assert execute(plan) == truth_top()
 
     def test_plan_determinism(self, loves_model):
@@ -103,11 +103,15 @@ class TestCompileAndExecute:
             assert evaluate(f, m).is_crisp
 
     def test_plan_too_large(self):
+        # The (2, 60) slice is above the cap; the 60-element one-hot is not.
         m = Model.from_names(
-            [f"x{i}" for i in range(10)], relations={"r": (3, [])}
+            [f"x{i}" for i in range(60)], relations={"r": (3, [])}
         )
-        with pytest.raises(PlanTooLargeError):
+        with pytest.raises(PlanTooLargeError) as info:
             compile_formula(RelAtom("r", ("x0", "x1", "x2")), m, cap=100)
+        assert str(info.value) == (
+            "rel:r(x0,x1,_) needs a tensor of 120 elements, above the cap of 100"
+        )
 
     @pytest.mark.parametrize(
         "build, what, error",
@@ -115,8 +119,13 @@ class TestCompileAndExecute:
             (lambda m: Tensor([0.0] * 2000, cap=100), "Tensor construction", ElementCapError),
             (lambda m: build_relation(m, "r", cap=100), "r", ElementCapError),
             (
-                lambda m: compile_formula(RelAtom("r", ("x0", "x1", "x2")), m, cap=100),
-                "rel:r",
+                # A (2, 1000) slice: plans load no dense relation tensor.
+                lambda m: compile_formula(
+                    RelAtom("r", ("x0", "x1", "x2")),
+                    Model.from_names([f"x{i}" for i in range(1000)], relations={"r": (3, [])}),
+                    cap=100,
+                ),
+                "rel:r(x0,x1,_)",
                 PlanTooLargeError,
             ),
         ],
