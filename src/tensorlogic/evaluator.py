@@ -9,9 +9,11 @@ steps read off as the evaluation trace of the formula.
 A relation is never loaded whole.  Applying it loads the (2, n) slice that
 fixes every argument but the last, built from the relation's tuples and
 noted ``rel:loves(j,_)``; a full application then contracts that slice with
-the last argument's one-hot vector, as a predicate application does, and a
-partial application reads the slice's true row.  So no plan holds a
-relation tensor of rank above 2.
+the last argument's one-hot vector, as a predicate application does.  So no
+plan holds a relation tensor of rank above 2.  Every set leaf is the true row
+of a (2, n) matrix: of its slice for a partial application, and for a
+predicate of the ``pred:`` matrix its applications load, so a predicate has
+one memo entry and no plan loads an (n, n) diagonal.
 
 The tensors a plan loads depend on the model alone, not on the formula that
 applies them.  Each one is built on first use and kept on the model under
@@ -46,8 +48,8 @@ import numpy as np
 from . import dsl
 from .errors import DimensionMismatchError, ElementCapError, PlanTooLargeError
 from .model import Model, TruthVec, encode_atom
-from .sets import _TRUE_ROW_PROBE, SetVector, build_set_predicate, exists, forall
-from .tensor import DEFAULT_ELEMENT_CAP, Tensor, ones
+from .sets import _TRUE_ROW_PROBE, SetVector, exists, forall
+from .tensor import DEFAULT_ELEMENT_CAP, Tensor
 from .truth import build_predicate, build_relation_slice, connective_tensor
 
 
@@ -136,6 +138,13 @@ class _PlanBuilder:
     def load_constant(self, note: str, tensor: Tensor) -> int:
         return self.load(note, tensor.shape, lambda: tensor)
 
+    def load_predicate(self, pred: str) -> int:
+        """Load the (2, n) truth matrix of predicate ``pred``."""
+        m = self.model
+        return self.load(
+            f"pred:{pred}", (2, m.domain_size), lambda: build_predicate(m, pred).tensor
+        )
+
     def load_slice(self, rel: str, bound: tuple[str, ...]) -> int:
         """Load the (2, n) slice of ``rel`` with its first arguments ``bound``."""
         m = self.model
@@ -151,13 +160,9 @@ class _PlanBuilder:
         return self.contract(reg, atom)
 
     def lower_formula(self, f: dsl.Formula) -> int:
-        m = self.model
         match f:
             case dsl.Atom(pred, arg):
-                p = self.load(
-                    f"pred:{pred}", (2, m.domain_size), lambda: build_predicate(m, pred).tensor
-                )
-                return self.apply(p, arg)
+                return self.apply(self.load_predicate(pred), arg)
             case dsl.RelAtom(rel, args):
                 return self.apply(self.load_slice(rel, args[:-1]), args[-1])
             case dsl.Not(body):
@@ -180,24 +185,19 @@ class _PlanBuilder:
         raise TypeError(f"not a formula node: {f!r}")
 
     def lower_set(self, e: dsl.SetExpr) -> int:
-        m = self.model
-        n = m.domain_size
         match e:
             case dsl.PredSet(name):
-                p = self.load(
-                    f"set-pred:{name}", (n, n), lambda: build_set_predicate(m, name).tensor
-                )
-                one = self.load("ones", (n,), lambda: ones(n))
-                return self.contract(p, one)
+                matrix = self.load_predicate(name)
             case dsl.PartialRel(rel, bound):
-                reg = self.load_slice(rel, bound)
-                probe = self.load_constant("true-row-probe", _TRUE_ROW_PROBE)
-                return self.contract(probe, reg)
+                matrix = self.load_slice(rel, bound)
             case dsl.Intersect(left, right):
                 return self.pointwise("emin", self.lower_set(left), self.lower_set(right))
             case dsl.Union(left, right):
                 return self.pointwise("emax", self.lower_set(left), self.lower_set(right))
-        raise TypeError(f"not a set expression node: {e!r}")
+            case _:
+                raise TypeError(f"not a set expression node: {e!r}")
+        probe = self.load_constant("true-row-probe", _TRUE_ROW_PROBE)
+        return self.contract(probe, matrix)
 
 
 def compile_formula(
@@ -319,7 +319,6 @@ class OracleVerdict:
     """
 
     index: int
-    model_text: str
     formula_text: str
     tensor_result: TruthVec | None
     oracle_result: bool
@@ -395,13 +394,12 @@ def equivalence_sweep(
         oracle_result = oracle_eval(f, m)
         agree = error is None and tensor_result.as_bool() == oracle_result
         verdict = OracleVerdict(
-            index, dsl.print_model(m), dsl.print_formula(f), tensor_result, oracle_result,
-            agree, error,
+            index, dsl.print_formula(f), tensor_result, oracle_result, agree, error
         )
         if error is None and not agree and artifact_dir is not None:
             directory = Path(artifact_dir)
             directory.mkdir(parents=True, exist_ok=True)
-            (directory / f"disagreement_{index}.model").write_text(verdict.model_text)
+            (directory / f"disagreement_{index}.model").write_text(dsl.print_model(m))
             (directory / f"disagreement_{index}.formula").write_text(
                 verdict.formula_text + "\n"
             )

@@ -167,15 +167,18 @@ def connective_tensor(kind: Connective | str) -> ConnectiveTensor:
     return CONNECTIVES[kind]
 
 
+def _truth_matrix(n: int, true_columns: list[int]) -> PredicateMatrix:
+    """The (2, n) predicate matrix that is true exactly at ``true_columns``."""
+    arr = np.zeros((2, n))
+    arr[0].put(true_columns, 1.0)
+    np.subtract(1.0, arr[0], out=arr[1])
+    return PredicateMatrix(Tensor._wrap(arr), validate=False)
+
+
 def build_predicate(m: Model, name: str) -> PredicateMatrix:
     """Predicate matrix for a declared predicate: column i is true iff atom i
     is in the predicate's extension."""
-    extension = m.predicate_extension(name)
-    n = m.domain_size
-    arr = np.zeros((2, n))
-    for i in range(n):
-        arr[0 if i in extension else 1, i] = 1.0
-    return PredicateMatrix(Tensor._wrap(arr), validate=False)
+    return _truth_matrix(m.domain_size, list(m.predicate_extension(name)))
 
 
 def build_relation(
@@ -223,11 +226,7 @@ def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Predica
     prefix = tuple(m.atom_index(b) for b in bound)
     k = len(prefix)
     true_columns = [tup[-1] for tup in decl.tuples if tup[:k] == prefix]
-    arr = np.zeros((2, m.domain_size))
-    arr[1] = 1.0
-    arr[0, true_columns] = 1.0
-    arr[1, true_columns] = 0.0
-    return PredicateMatrix(Tensor._wrap(arr), validate=False)
+    return _truth_matrix(m.domain_size, true_columns)
 
 
 def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> bool:

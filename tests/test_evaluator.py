@@ -18,6 +18,7 @@ from tensorlogic.dsl import (
     parse_formula,
     parse_model,
     print_formula,
+    print_model,
 )
 from tensorlogic.errors import (
     DimensionMismatchError,
@@ -259,11 +260,18 @@ class TestEquivalenceSweep:
         monkeypatch.setattr(
             evaluator_module, "oracle_eval", lambda f, m: not real_oracle(f, m)
         )
-        report = equivalence_sweep(SweepConfig(seed=3, count=4), artifact_dir=tmp_path)
+        config = SweepConfig(seed=3, count=4)
+        report = equivalence_sweep(config, artifact_dir=tmp_path)
         assert len(report.disagreements) == 4
+        # Regenerate the instances from the seed: each file holds its own.
+        rng = random.Random(config.seed)
         for verdict in report.disagreements:
+            m = random_model(rng, max_domain=config.max_domain)
+            f = random_formula(rng, m, max_depth=config.max_depth)
             model_file = tmp_path / f"disagreement_{verdict.index}.model"
             formula_file = tmp_path / f"disagreement_{verdict.index}.formula"
+            assert model_file.read_text() == print_model(m)
+            assert formula_file.read_text() == print_formula(f) + "\n"
             dumped_model = parse_model(model_file.read_text())
             reparsed = parse_formula(formula_file.read_text(), dumped_model)
             assert print_formula(reparsed) == verdict.formula_text

@@ -14,7 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from tensorlogic.dsl import Atom, RelAtom, parse_formula
+from tensorlogic.cli import main
+from tensorlogic.dsl import Atom, Exists, ForAll, PredSet, RelAtom, parse_formula
 from tensorlogic.errors import PlanTooLargeError
 from tensorlogic.evaluator import compile_formula, execute, oracle_eval
 from tensorlogic.generate import random_formula, random_model
@@ -117,6 +118,20 @@ def test_cap_is_checked_before_the_memo_and_before_any_build():
     assert "pred:p" in m._tensors
     with pytest.raises(PlanTooLargeError):
         compile_formula(Atom("p", "x0"), m, cap=100)
+
+
+def test_a_predicate_set_loads_the_predicate_matrix_under_the_cap(tmp_path, capsys):
+    # As a set, p reads the true row of its 2 x 60 matrix: 120 elements, where
+    # an (n, n) diagonal would be 3,600, above a cap of 1,000.
+    names = [f"x{i}" for i in range(60)]
+    m = Model.from_names(names, {"p": ["x0", "x7"]})
+    for f in (Atom("p", "x0"), Exists(PredSet("p")), ForAll(PredSet("p"), PredSet("p"))):
+        assert execute(compile_formula(f, m, cap=1000)).as_bool() == oracle_eval(f, m)
+    assert set(m._tensors) == {"pred:p", "atom:x0", "true-row-probe"}
+    path = tmp_path / "wide.model"
+    path.write_text(f"domain {' '.join(names)}\npred p: x0 x7\n")
+    assert main(["eval", "--model", str(path), "--cap", "1000", "--formula", "exists p"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_threads_sharing_a_model_load_one_object_per_symbol():

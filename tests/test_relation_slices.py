@@ -9,6 +9,7 @@ model keeps, and the cap on what a plan loads.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -141,6 +142,13 @@ def test_every_slice_and_application_matches_the_dense_path():
                 result = evaluate(f, m)
                 assert bits(result) == bits(dense_evaluate(f, m))
                 assert result.as_bool() == oracle_eval(f, m)
+        # A predicate set is the true row of the matrix its applications load.
+        plan = compile_formula(Exists(PredSet("p")), m)
+        matrix, probe, row = plan.steps[:3]
+        assert (matrix.note, probe.note, row.op) == ("pred:p", "true-row-probe", "contract")
+        assert matrix.payload is m._tensors["pred:p"]
+        register = contract(probe.payload, matrix.payload).array
+        assert register.tobytes() == dense_set(PredSet("p"), m).tensor.array.tobytes()
 
 
 def test_sliced_plans_match_the_dense_evaluator_and_the_oracle():
@@ -151,9 +159,13 @@ def test_sliced_plans_match_the_dense_evaluator_and_the_oracle():
         for _ in range(3):
             f = random_formula(rng, m, max_depth=3)
             plan = compile_formula(f, m)
-            # No plan loads a relation tensor of rank above 2.
-            for instr in plan.steps:
-                if instr.op == "load" and instr.note.startswith("rel:"):
+            # Every load is a truth matrix, a one-hot, a connective or the
+            # true-row probe, and no plan loads a relation tensor of rank above 2.
+            for instr in (step for step in plan.steps if step.op == "load"):
+                assert instr.note == "true-row-probe" or instr.note.startswith(
+                    ("pred:", "rel:", "atom:", "conn:")
+                )
+                if instr.note.startswith("rel:"):
                     assert instr.payload.shape == (2, m.domain_size)
             result = execute(plan)
             assert bits(result) == bits(dense_evaluate(f, m))
@@ -190,6 +202,18 @@ def test_an_oversize_slice_is_refused_before_anything_is_stored():
         assert not m._tensors
     assert evaluate(RelAtom("r", ("x0", "x1", "x2")), m, cap=120).as_bool()
     assert list(m._tensors) == ["rel:r(x0,x1,_)", "atom:x2"]
+
+
+def test_a_set_of_a_slice_and_a_predicate_holds_no_register_above_2n():
+    n = 80
+    names = [f"a{i}" for i in range(n)]
+    m = Model.from_names(
+        names, {"p": names[::3]}, {"r": (3, [("a0", "a1", a) for a in names[::2]])}
+    )
+    f = Exists(Intersect(PartialRel("r", ("a0", "a1")), PredSet("p")))
+    plan = compile_formula(f, m)
+    assert max(math.prod(shape) for shape in plan.register_shapes) == 2 * n
+    assert execute(plan).as_bool() == oracle_eval(f, m)
 
 
 def test_a_slice_binds_every_argument_but_the_last():
