@@ -16,6 +16,7 @@ stay portable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import ElementCapError, TensorLogicError
 from .evaluator import SweepConfig, compile_formula, equivalence_sweep, execute, oracle_eval
 from .dsl import And, Atom, Implies, Not, Or, parse_formula, parse_model
-from .generate import MAX_ARITY
+from .generate import MAX_ARITY, check_relation_size
 from .model import Model, truth_bot, truth_top
 from .sets import build_set_predicate, convert_set_to_truth, convert_truth_to_set
 from .tensor import DEFAULT_ELEMENT_CAP
@@ -248,19 +249,21 @@ def sweep_domain(text: str) -> int:
     """A ``--max-domain`` at which every generated model fits the element cap.
 
     The largest relation a sweep generates has arity ``MAX_ARITY`` over
-    ``--max-domain`` atoms; refusing the flag up front keeps the sweep from
-    listing all of its tuples before any cap check.
+    ``--max-domain`` atoms; refusing the flag up front makes it a usage
+    error, not a sweep that stops at the first model too large to draw.
     """
     value = positive_int(text)
-    what = f"a random arity-{MAX_ARITY} relation over {value} atoms"
     try:
-        ElementCapError.check(what, 2 * value**MAX_ARITY, DEFAULT_ELEMENT_CAP)
+        check_relation_size(MAX_ARITY, value)
     except ElementCapError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process: callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="tensorlogic",
         description="Evaluate predicate-calculus formulas over finite models by tensor contraction.",

@@ -37,6 +37,11 @@ A formula nests at most :data:`MAX_DEPTH` levels deep, counting every
 connective and every pair of parentheses around its deepest atom; deeper text
 is a :class:`ParseError` at the token that crosses the limit.
 
+Both parsers read tokens on demand, after one check of the whole text's
+characters: an unexpected character anywhere is the error reported, whatever
+else is wrong before it, and text nested too deep is rejected after reading
+about :data:`MAX_DEPTH` tokens, not all of them.
+
 ``domain``, ``pred``, ``rel``, ``all`` and ``exists`` are reserved words and
 cannot name atoms, predicates, or relations.  Names start with a letter and
 continue with letters, digits, or underscores.
@@ -47,7 +52,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import (
     ArityError,
@@ -165,10 +170,17 @@ _TOKEN_RE = re.compile(
       | (?P<int>\d+)
       | (?P<underscore>_)
       | (?P<sym>[(),:/~&|])
-      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
+
+#: The longest prefix of a text that ``_TOKEN_RE`` splits into tokens with no
+#: character left over: it ends at the text's first unexpected character.
+_VALID_PREFIX_RE = re.compile(r"(?:[A-Za-z\d_(),:/~&|\s]+|#[^\n]*|->)*")
+
+#: Token kinds a model's statements are read without, and a formula's.
+_MODEL_SKIP = ("ws", "comment")
+_FORMULA_SKIP = ("ws", "comment", "newline")
 
 #: Token kinds that end a model statement.
 _STATEMENT_END = ("newline", "eof")
@@ -181,44 +193,57 @@ class _Token(NamedTuple):
     column: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str, skip: tuple[str, ...] = _MODEL_SKIP) -> Iterator[_Token]:
+    """The tokens of ``text`` but those of a kind in ``skip``, read on demand
+    and ending in one ``eof`` token.
+
+    Before the first token, the whole text's characters are checked, so an
+    unexpected character anywhere is the error, whatever a parser would have
+    found in the tokens before it.
+    """
+    bad = _VALID_PREFIX_RE.match(text).end()
+    if bad < len(text):
+        line_start = text.rfind("\n", 0, bad) + 1
+        raise ParseError(
+            f"unexpected character {text[bad]!r}",
+            text.count("\n", 0, line_start) + 1,
+            bad - line_start + 1,
+        )
     line, line_start = 1, 0
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        value = match.group()
-        column = match.start() - line_start + 1
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", line, column)
-        tokens.append(_Token(value if kind == "sym" else kind, value, line, column))
+        if kind not in skip:
+            value = match.group()
+            yield _Token(
+                value if kind == "sym" else kind, value, line, match.start() - line_start + 1
+            )
         if kind == "newline":
             line += 1
             line_start = match.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+    yield _Token("eof", "", line, len(text) - line_start + 1)
 
 
 class _TokenStream:
-    def __init__(self, tokens: list[_Token]):
+    """One token of lookahead over a token iterator that ends in ``eof``."""
+
+    def __init__(self, tokens: Iterator[_Token]):
         self._tokens = tokens
-        self._pos = 0
+        self._next = next(tokens)
 
     def peek(self) -> _Token:
-        return self._tokens[self._pos]
+        return self._next
 
     def advance(self) -> _Token:
-        token = self._tokens[self._pos]
+        token = self._next
         if token.kind != "eof":
-            self._pos += 1
+            self._next = next(self._tokens)
         return token
 
     def at_statement_end(self) -> bool:
-        return self._tokens[self._pos].kind in _STATEMENT_END
+        return self._next.kind in _STATEMENT_END
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
-        token = self.peek()
+        token = self._next
         if token.kind != kind:
             expected = what or f"{kind!r}"
             found = "end of input" if token.kind in _STATEMENT_END else repr(token.text)
@@ -226,7 +251,7 @@ class _TokenStream:
         return self.advance()
 
     def error(self, message: str) -> ParseError:
-        token = self.peek()
+        token = self._next
         return ParseError(message, token.line, token.column)
 
 
@@ -349,8 +374,8 @@ class _FormulaParser:
     long before the interpreter's stack does.
     """
 
-    def __init__(self, tokens: list[_Token], m: Model):
-        self.stream = _TokenStream([t for t in tokens if t.kind != "newline"])
+    def __init__(self, stream: _TokenStream, m: Model):
+        self.stream = stream
         self.model = m
         self.open = 0
         # The tighter chain of each layer, bound here so that a level of
@@ -524,7 +549,7 @@ class _FormulaParser:
 
 def parse_formula(text: str, m: Model) -> Formula:
     """Parse formula text against a model, binding and arity-checking names."""
-    return _FormulaParser(_tokenize(text), m).parse()
+    return _FormulaParser(_TokenStream(_tokenize(text, _FORMULA_SKIP)), m).parse()
 
 
 # ---------------------------------------------------------------------------

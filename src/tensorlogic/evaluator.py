@@ -374,7 +374,8 @@ def equivalence_sweep(
     """Run tensor evaluation against the oracle on seeded random instances.
 
     An :class:`ElementCapError` on one instance's tensor path is recorded on
-    its verdict and the sweep goes on; any other error ends the sweep.  Every
+    its verdict and the sweep goes on; any other error ends the sweep, as
+    does a model too large for :func:`generate.random_model` to draw.  Every
     disagreement becomes a pair of files under ``artifact_dir`` when one is
     given (see :func:`dsl.print_formula` for when they re-parse).
     """

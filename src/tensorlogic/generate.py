@@ -14,10 +14,19 @@ import itertools
 import random
 
 from . import dsl
+from .errors import ElementCapError
 from .model import Model
+from .tensor import DEFAULT_ELEMENT_CAP
 
 #: The largest relation arity :func:`random_model` draws by default.
 MAX_ARITY = 3
+
+
+def check_relation_size(arity: int, n: int) -> None:
+    """Raise :class:`ElementCapError` if a random relation of ``arity`` over
+    ``n`` atoms can be above the default element cap: 2 * n**arity elements."""
+    what = f"a random arity-{arity} relation over {n} atoms"
+    ElementCapError.check(what, 2 * n**arity, DEFAULT_ELEMENT_CAP)
 
 
 def random_model(
@@ -27,7 +36,11 @@ def random_model(
     n_relations: int = 1,
     max_arity: int = MAX_ARITY,
 ) -> Model:
-    """A model with atoms a0..a(n-1), predicates p0.., and relations r0.. ."""
+    """A model with atoms a0..a(n-1), predicates p0.., and relations r0.. .
+
+    A relation that fails :func:`check_relation_size` raises
+    :class:`ElementCapError` before any of its tuples is drawn.
+    """
     n = rng.randint(1, max_domain)
     atom_names = [f"a{i}" for i in range(n)]
     predicates = {
@@ -37,6 +50,7 @@ def random_model(
     relations = {}
     for j in range(n_relations):
         arity = rng.randint(2, max(2, max_arity))
+        check_relation_size(arity, n)
         tuples = [
             tup
             for tup in itertools.product(atom_names, repeat=arity)

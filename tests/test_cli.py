@@ -281,6 +281,38 @@ class TestInProcessEntryPoint:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_the_shared_parser_carries_no_state_between_calls(
+        self, model_file, tmp_path, capsys
+    ):
+        # One parser serves every call: flags, defaults and the mutually
+        # exclusive formula source must not leak from one call to the next.
+        formula_file = tmp_path / "tom.formula"
+        formula_file.write_text("mathematician(tom)\n")
+        john = ["--formula", "mathematician(john)"]
+        calls = [
+            (["--cap", "5", *john], 2),
+            (john, 0),
+            (["--formula-file", str(formula_file)], 1),
+            (john, 0),
+            (["--output", "records", *john], 0),
+            (john, 0),
+        ]
+        for flags, code in calls:
+            assert main(["eval", "--model", model_file, *flags]) == code
+            out, err = capsys.readouterr()
+            if code == 2:
+                assert err.startswith("error:") and "pred:mathematician" in err
+            elif "--output" in flags:
+                assert json.loads(out)["result"] == "T" and err == ""
+            else:
+                assert (out, err) == ((TOP if code == 0 else BOT) + "\n", "")
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--model", model_file, *john, "--formula-file", str(formula_file)])
+        assert info.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
+        assert main(["eval", "--model", model_file, *john]) == 0
+        assert capsys.readouterr() == (TOP + "\n", "")
+        assert cli.build_parser() is cli.build_parser()
+
 
 def assert_contract(argv):
     """Run ``main(argv)`` in process: exit 0, 1 or 2, and 2 exactly when

@@ -1,10 +1,13 @@
 """Model and formula text formats: parsing, printing, round-trips, errors."""
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensorlogic.dsl import (
+    _tokenize,
     And,
     Atom,
     Exists,
@@ -203,6 +206,24 @@ class TestParseFormula:
         with pytest.raises(ParseError):
             parse_formula("loves(m, j) loves(j, m)", loves_model)
 
+    @pytest.mark.parametrize(
+        "text, character, line, column",
+        [
+            ("p(zz) @", "@", 1, 7),
+            ("(" * (MAX_DEPTH + 1) + "@", "@", 1, MAX_DEPTH + 2),
+            ("~" * (MAX_DEPTH + 1) + "p(a)\n\u20ac", "\u20ac", 2, 1),
+            ("exists q\n  %", "%", 2, 3),
+            ("p(a) # @ in a comment\n& p(a) > p(a)", ">", 2, 8),
+        ],
+        ids=["unknown-atom", "too-deep", "too-deep-2", "unknown-name", "after-comment"],
+    )
+    def test_a_bad_character_outranks_earlier_errors(self, text, character, line, column):
+        with pytest.raises(ParseError) as info:
+            parse_formula(text, parse_model(ONE_ATOM_TEXT))
+        assert type(info.value) is ParseError
+        assert info.value.bare_message == f"unexpected character {character!r}"
+        assert (info.value.line, info.value.column) == (line, column)
+
     def test_reserved_words_rejected_as_names(self, loves_model):
         with pytest.raises(ParseError):
             parse_formula("pred(j)", loves_model)
@@ -299,6 +320,11 @@ MALFORMED_MODELS = [
     ("domain a\nrel r/", ParseError, "expected an arity, found end of input", 2, 7),
     ("domain a\nrel r/2", ParseError, "expected ':', found end of input", 2, 8),
     ("domain a\nrel r/2: (a, a", ParseError, "expected ')', found end of input", 2, 15),
+    # An unexpected character anywhere outranks every other error.
+    ("domain a\npred p: a\npred p: a\n$", ParseError, "unexpected character '$'", 4, 1),
+    ("domain all\n\n  $", ParseError, "unexpected character '$'", 3, 3),
+    ("pred p: a\n# $ in a comment\n-", ParseError, "unexpected character '-'", 3, 1),
+    ("domain a -> >", ParseError, "unexpected character '>'", 1, 13),
 ]
 
 
@@ -348,3 +374,47 @@ class TestDepthLimit:
         parse_formula("~" * (MAX_DEPTH - half) + "p(a) & " + chain, m)
         with pytest.raises(ParseError):
             parse_formula("~" * (MAX_DEPTH - half + 1) + "p(a) & " + chain, m)
+
+
+# Fragments of model and formula text, valid and not, for texts that often
+# get past the first few tokens before they go wrong.
+TEXT_FRAGMENTS = [
+    "domain", "pred", "rel", "exists", "all", "p", "a", "r", "(", ")", ",", ":",
+    "/", "2", "_", "~", "&", "|", "->", "-", ">", "#", " ", "\t", "\n", "$",
+    "\u00e9", "\u0663", "\x0b",
+]
+TEXTS = st.one_of(st.text(max_size=40), st.lists(st.sampled_from(TEXT_FRAGMENTS)).map("".join))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(text=TEXTS)
+def test_the_tokenizer_error_is_every_parser_error(text):
+    """Whenever reading all of a text's tokens fails, both parsers fail with
+    that same error, whatever they would have found first."""
+    try:
+        list(_tokenize(text))
+    except ParseError as err:
+        expected = (err.bare_message, err.line, err.column)
+    else:
+        return
+    for parse in (parse_model, lambda t: parse_formula(t, parse_model(ONE_ATOM_TEXT))):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.bare_message, info.value.line, info.value.column) == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["(" * 3000 + "p0(e0)" + ")" * 3000, "~" * 3000 + "p0(e0)"], ids=["parens", "not"]
+)
+def test_deep_text_is_rejected_in_bounded_memory(text):
+    # The parser gives up after about MAX_DEPTH tokens, so it needs to have
+    # read no more than those.
+    m = parse_model("domain e0\npred p0: e0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="nests deeper than"):
+            parse_formula(text, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 300_000

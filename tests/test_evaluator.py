@@ -300,6 +300,17 @@ class TestEquivalenceSweep:
         with pytest.raises(error, match=SWEEP_ERROR_MESSAGE):
             equivalence_sweep(SweepConfig(seed=1, count=5))
 
+    def test_a_model_above_the_cap_is_refused_before_its_tuples_are_drawn(self):
+        # Seed 0 draws 198 atoms, then an arity-3 relation: 2 * 198^3 elements.
+        # Listing its 7.8M candidate tuples first would take gigabytes.
+        message = (
+            "a random arity-3 relation over 198 atoms needs a tensor of 15524784 "
+            "elements, above the cap of 10000000"
+        )
+        with pytest.raises(ElementCapError) as info:
+            random_model(random.Random(0), max_domain=400)
+        assert str(info.value) == message
+
     def test_no_artifacts_written_on_agreement(self, tmp_path):
         equivalence_sweep(SweepConfig(seed=11, count=50), artifact_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
