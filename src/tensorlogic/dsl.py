@@ -37,10 +37,14 @@ A formula nests at most :data:`MAX_DEPTH` levels deep, counting every
 connective and every pair of parentheses around its deepest atom; deeper text
 is a :class:`ParseError` at the token that crosses the limit.
 
-Both parsers read tokens on demand, after one check of the whole text's
-characters: an unexpected character anywhere is the error reported, whatever
-else is wrong before it, and text nested too deep is rejected after reading
-about :data:`MAX_DEPTH` tokens, not all of them.
+Model text is accepted statement by statement by whole-line patterns, and
+the token parser reports every error: text that any pattern does not take is
+read again by the token parser, so a model's errors, messages and positions
+are the token parser's alone.  That parser, like the formula parser, reads
+tokens on demand, after one check of the whole text's characters: an
+unexpected character anywhere is the error reported, whatever else is wrong
+before it, and formula text nested too deep is rejected after reading about
+:data:`MAX_DEPTH` tokens, not all of them.
 
 ``domain``, ``pred``, ``rel``, ``all`` and ``exists`` are reserved words and
 cannot name atoms, predicates, or relations.  Names start with a letter and
@@ -51,13 +55,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import (
     ArityError,
     DuplicateNameError,
     EmbeddedQuantifierError,
+    FormulaDepthError,
     ParseError,
     UnknownNameError,
 )
@@ -161,12 +166,15 @@ Formula = Atom | RelAtom | Not | And | Or | Implies | ForAll | Exists
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+#: A name, as the tokenizer and the model accept path read one.
+_NAME = "[A-Za-z][A-Za-z0-9_]*"
+
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[^\S\n]+)
+    rf"""(?P<ws>[^\S\n]+)
       | (?P<comment>\#[^\n]*)
       | (?P<newline>\n)
       | (?P<arrow>->)
-      | (?P<name>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<name>{_NAME})
       | (?P<int>\d+)
       | (?P<underscore>_)
       | (?P<sym>[(),:/~&|])
@@ -274,7 +282,105 @@ def _names_to_statement_end(stream: _TokenStream) -> list[str]:
 
 
 def parse_model(text: str) -> Model:
-    """Parse model text into a validated :class:`Model`."""
+    """Parse model text into a validated :class:`Model`.
+
+    Model text is accepted statement by statement by whole-line patterns;
+    text they do not take, and every error, goes to the token parser.
+    """
+    declarations = _accept_model(text) or _parse_model_tokens(text)
+    return Model.from_names(*declarations)
+
+
+#: The head of a statement; its body follows the colon.
+_PRED_RE = re.compile(rf"\s*pred\s+({_NAME})\s*:(.*)")
+_REL_RE = re.compile(rf"\s*rel\s+({_NAME})\s*/\s*([1-9][0-9]{{0,3}})\s*:(.*)")
+#: One item of a body, with the whitespace before it.
+_NAME_ITEM_RE = re.compile(rf"\s*{_NAME}")
+
+_Declarations = tuple[
+    list[str], dict[str, list[str]], dict[str, tuple[int, list[tuple[str, ...]]]]
+]
+
+
+@lru_cache(maxsize=8)
+def _tuple_item_re(arity: int) -> re.Pattern:
+    """One ``arity``-tuple of a ``rel`` body, with the whitespace before it."""
+    return re.compile(rf"\s*\(\s*{_NAME}(?:\s*,\s*{_NAME}){{{arity - 1}}}\s*\)")
+
+
+def _only_items(item_re: re.Pattern, body: str) -> bool:
+    """Whether ``body`` is nothing but ``item_re`` items and whitespace.
+
+    Deleting the items match by match holds memory for one item at a time;
+    one pattern repeated over the whole body would hold it for every item,
+    about 50 bytes a character.
+    """
+    return not item_re.sub("", body).strip()
+
+
+def _accept_model(text: str) -> _Declarations | None:
+    """The declarations of ``text`` when every statement in it matches its
+    kind's pattern, or ``None``.
+
+    The patterns take a strict subset of the text :func:`_parse_model_tokens`
+    parses without error, and give the same declarations for it: ASCII
+    names that are not reserved words, symbols declared once, and an arity
+    of at most four ASCII digits.
+    """
+    atom_names: list[str] = []
+    predicates: dict[str, list[str]] = {}
+    relations: dict[str, tuple[int, list[tuple[str, ...]]]] = {}
+    for line in text.split("\n"):
+        statement = line.partition("#")[0]
+        words = statement.split(None, 1)
+        if not words:
+            continue
+        keyword = words[0]
+        if not atom_names:
+            if keyword != "domain" or len(words) < 2:
+                return None
+            if not _only_items(_NAME_ITEM_RE, words[1]):
+                return None
+            atom_names = words[1].split()
+            if not RESERVED.isdisjoint(atom_names):
+                return None
+            continue
+        if keyword == "pred":
+            match = _PRED_RE.fullmatch(statement)
+            if match is None or not _only_items(_NAME_ITEM_RE, match[2]):
+                return None
+            name, members = match[1], match[2].split()
+        elif keyword == "rel":
+            match = _REL_RE.fullmatch(statement)
+            if match is None:
+                return None
+            name, arity, body = match[1], int(match[2]), match[3]
+            if not _only_items(_tuple_item_re(arity), body):
+                return None
+            # The body holds only tuples, so its names are all that the
+            # brackets and commas separate.
+            members = body.replace("(", " ").replace(")", " ").replace(",", " ").split()
+        else:
+            return None
+        if (
+            name in RESERVED
+            or name in predicates
+            or name in relations
+            or not RESERVED.isdisjoint(members)
+        ):
+            return None
+        if keyword == "pred":
+            predicates[name] = members
+        else:
+            relations[name] = (arity, list(zip(*[iter(members)] * arity)))
+    if not atom_names:
+        return None
+    return atom_names, predicates, relations
+
+
+def _parse_model_tokens(text: str) -> _Declarations:
+    """The declarations of ``text``, read token by token; the parser that
+    reports every error in model text."""
     stream = _TokenStream(_tokenize(text))
     atom_names: list[str] = []
     predicates: dict[str, list[str]] = {}
@@ -305,7 +411,13 @@ def parse_model(text: str) -> Model:
             predicates[name] = _names_to_statement_end(stream)
             continue
         stream.expect("/")
-        arity = int(stream.expect("int", "an arity").text)
+        token = stream.expect("int", "an arity")
+        try:
+            arity = int(token.text)
+        except ValueError:  # more digits than int() will read
+            raise ParseError(
+                f"arity has too many digits ({len(token.text)})", token.line, token.column
+            ) from None
         if arity < 1:
             raise ArityError(f"relation {name!r} declared with arity {arity}")
         stream.expect(":")
@@ -327,7 +439,7 @@ def parse_model(text: str) -> Model:
 
     if not atom_names:
         raise ParseError("empty model: expected a 'domain' statement", 1, 1)
-    return Model.from_names(atom_names, predicates, relations)
+    return atom_names, predicates, relations
 
 
 def print_model(m: Model) -> str:
@@ -637,4 +749,7 @@ def print_formula(f: Formula) -> str:
     text is a :class:`ParseError`.  A connective's parentheses add a level
     of their own, so the text can nest deeper than the AST.
     """
-    return _format_formula(f)
+    try:
+        return _format_formula(f)
+    except RecursionError:
+        raise FormulaDepthError("formula nests too deep to print") from None

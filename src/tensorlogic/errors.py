@@ -100,5 +100,13 @@ class EmbeddedQuantifierError(ParseError):
     """A quantifier appeared somewhere other than the root of a formula."""
 
 
+class FormulaDepthError(TensorLogicError):
+    """A formula nests deeper than the interpreter's recursion limit allows.
+
+    Only an AST built in code can: :func:`~tensorlogic.dsl.parse_formula`
+    holds text to :data:`~tensorlogic.dsl.MAX_DEPTH` levels.
+    """
+
+
 class PlanTooLargeError(ElementCapError):
     """A plan load, named by its note, would exceed the element cap."""

@@ -46,7 +46,12 @@ from typing import Callable
 import numpy as np
 
 from . import dsl
-from .errors import DimensionMismatchError, ElementCapError, PlanTooLargeError
+from .errors import (
+    DimensionMismatchError,
+    ElementCapError,
+    FormulaDepthError,
+    PlanTooLargeError,
+)
 from .model import Model, TruthVec, encode_atom
 from .sets import _TRUE_ROW_PROBE, SetVector, exists, forall
 from .tensor import DEFAULT_ELEMENT_CAP, Tensor
@@ -205,7 +210,10 @@ def compile_formula(
 ) -> ContractionPlan:
     """Compile a bound formula into a contraction plan over ``m``."""
     builder = _PlanBuilder(m, cap)
-    result = builder.lower_formula(f)
+    try:
+        result = builder.lower_formula(f)
+    except RecursionError:
+        raise FormulaDepthError("formula nests too deep to compile") from None
     if builder.shapes[result] != (2,):
         raise DimensionMismatchError(
             f"plan result register has shape {builder.shapes[result]}, expected (2,)"
@@ -260,6 +268,13 @@ def evaluate(f: dsl.Formula, m: Model, *, cap: int = DEFAULT_ELEMENT_CAP) -> Tru
 
 def oracle_set_eval(e: dsl.SetExpr, m: Model) -> frozenset[int]:
     """The set of atom indices denoted by a set expression, computed directly."""
+    try:
+        return _oracle_set(e, m)
+    except RecursionError:
+        raise FormulaDepthError("set expression nests too deep for the oracle") from None
+
+
+def _oracle_set(e: dsl.SetExpr, m: Model) -> frozenset[int]:
     match e:
         case dsl.PredSet(name):
             return m.predicate_extension(name)
@@ -268,14 +283,21 @@ def oracle_set_eval(e: dsl.SetExpr, m: Model) -> frozenset[int]:
             prefix = tuple(m.atom_index(b) for b in bound)
             return frozenset(tup[-1] for tup in decl.tuples if tup[:-1] == prefix)
         case dsl.Intersect(left, right):
-            return oracle_set_eval(left, m) & oracle_set_eval(right, m)
+            return _oracle_set(left, m) & _oracle_set(right, m)
         case dsl.Union(left, right):
-            return oracle_set_eval(left, m) | oracle_set_eval(right, m)
+            return _oracle_set(left, m) | _oracle_set(right, m)
     raise TypeError(f"not a set expression node: {e!r}")
 
 
 def oracle_eval(f: dsl.Formula, m: Model) -> bool:
     """Classical truth value of a bound formula, straight off the model's sets."""
+    try:
+        return _oracle_truth(f, m)
+    except RecursionError:
+        raise FormulaDepthError("formula nests too deep for the oracle") from None
+
+
+def _oracle_truth(f: dsl.Formula, m: Model) -> bool:
     match f:
         case dsl.Atom(pred, arg):
             return m.atom_index(arg) in m.predicate_extension(pred)
@@ -283,17 +305,17 @@ def oracle_eval(f: dsl.Formula, m: Model) -> bool:
             indices = tuple(m.atom_index(a) for a in args)
             return indices in m.relation_decl(rel).tuples
         case dsl.Not(body):
-            return not oracle_eval(body, m)
+            return not _oracle_truth(body, m)
         case dsl.And(left, right):
-            return oracle_eval(left, m) and oracle_eval(right, m)
+            return _oracle_truth(left, m) and _oracle_truth(right, m)
         case dsl.Or(left, right):
-            return oracle_eval(left, m) or oracle_eval(right, m)
+            return _oracle_truth(left, m) or _oracle_truth(right, m)
         case dsl.Implies(left, right):
-            return (not oracle_eval(left, m)) or oracle_eval(right, m)
+            return (not _oracle_truth(left, m)) or _oracle_truth(right, m)
         case dsl.ForAll(subset, superset):
-            return oracle_set_eval(subset, m) <= oracle_set_eval(superset, m)
+            return _oracle_set(subset, m) <= _oracle_set(superset, m)
         case dsl.Exists(body):
-            return len(oracle_set_eval(body, m)) > 0
+            return len(_oracle_set(body, m)) > 0
     raise TypeError(f"not a formula node: {f!r}")
 
 

@@ -370,6 +370,18 @@ class TestExitCodeContract:
         path.write_bytes(data)
         assert_contract(["eval", "--model", str(path), "--formula=p(a)"])
 
+    def test_an_arity_too_long_to_read(self, workdir):
+        # More digits than int() reads by default (4,300).
+        path = workdir / "long-arity.model"
+        path.write_text("domain a\nrel r/" + "1" * 5000 + ":\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["eval", "--model", str(path), "--formula=p(a)"])
+        assert code == 2
+        assert err.getvalue() == (
+            "error: arity has too many digits (5000) (line 2, column 7)\n"
+        )
+
     # The shapes nest ``depth`` levels deep; past MAX_DEPTH each is an error.
     @CONTRACT_SETTINGS
     @given(shape=st.sampled_from(sorted(DEEP_SHAPES)), depth=st.integers(1, 3000))

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorlogic.dsl import (
+    _accept_model,
+    _parse_model_tokens,
     _tokenize,
     And,
     Atom,
@@ -30,12 +32,15 @@ from tensorlogic.errors import (
     ArityError,
     DuplicateNameError,
     EmbeddedQuantifierError,
+    FormulaDepthError,
     ParseError,
+    TensorLogicError,
     UnknownAtomError,
     UnknownNameError,
 )
-from tensorlogic.evaluator import evaluate, oracle_eval
+from tensorlogic.evaluator import evaluate, oracle_eval, oracle_set_eval
 from tensorlogic.generate import random_formula, random_model
+from tensorlogic.model import Model
 from tests.conftest import BROWN_DOG_TEXT, GREEK_TEXT, LOVES_TEXT, MATHEMATICIAN_TEXT
 from tests.helpers import DEEP_SHAPES, ONE_ATOM_TEXT
 
@@ -295,7 +300,8 @@ class TestModelEquality:
 
 # Each malformed model text with the error it must raise: class, message and
 # 1-based (line, column).  An error at the end of a statement points just
-# past its last token.  DuplicateNameError carries no position (0, 0 here).
+# past its last token.  Errors other than ParseError carry no position (0, 0
+# here).
 MALFORMED_MODELS = [
     ("", ParseError, "empty model: expected a 'domain' statement", 1, 1),
     ("\n# only a comment\n\n", ParseError, "empty model: expected a 'domain' statement", 1, 1),
@@ -325,6 +331,14 @@ MALFORMED_MODELS = [
     ("domain all\n\n  $", ParseError, "unexpected character '$'", 3, 3),
     ("pred p: a\n# $ in a comment\n-", ParseError, "unexpected character '-'", 3, 1),
     ("domain a -> >", ParseError, "unexpected character '>'", 1, 13),
+    ("domain a\r\ndomain b\r\n", ParseError, "only one 'domain' statement is allowed", 2, 1),
+    ("# header\npred p: a", ParseError, "model must start with a 'domain' statement", 2, 1),
+    ("domain a\nrel r/2: (a, all)", ParseError, "'all' is a reserved word", 2, 14),
+    ("domain a\npred p: a\nrel p/1: (a)", DuplicateNameError, "symbol 'p' declared twice", 0, 0),
+    ("domain a\nrel r/2: (a, a) (a)", ArityError,
+     "tuple ('a',) has length 1, relation 'r' has arity 2", 0, 0),
+    # More digits than int() reads by default (4,300).
+    ("domain a\nrel r/" + "1" * 5000 + ":", ParseError, "arity has too many digits (5000)", 2, 7),
 ]
 
 
@@ -333,11 +347,133 @@ def test_malformed_model_errors(text, error, message, line, column):
     with pytest.raises(error) as info:
         parse_model(text)
     assert type(info.value) is error
-    if error is DuplicateNameError:  # carries no position
+    if not issubclass(error, ParseError):  # carries no position
         assert str(info.value) == message
     else:
         assert info.value.bare_message == message
         assert (info.value.line, info.value.column) == (line, column)
+
+
+def _token_parse(text):
+    return Model.from_names(*_parse_model_tokens(text))
+
+
+def _outcome(parse, text):
+    """The model ``parse`` gives for ``text``, or its error's class, message
+    and position."""
+    try:
+        return parse(text)
+    except TensorLogicError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+
+
+# Model texts at the edges of what the statement patterns accept, and whether
+# they accept it: the token parser reads the rest, and raises every error.
+EDGE_MODELS = {
+    "crlf": ("domain a b\r\npred p: a\r\nrel r/2: (a, b)\r\n", True),
+    # Only "\n" ends a statement; other line breaks are whitespace.
+    "lone-cr": ("domain a\rpred p: a", False),
+    "line-separators": ("domain a\x0bb\x0cc\u2028d\x85e\npred p: a\u2029b", True),
+    "tab-nbsp": ("domain\ta\u00a0b\npred\u00a0p :\tb\nrel r\t/ 2 :(a,b)\u00a0(b , a)", True),
+    "comment-at-end": ("domain a\npred p: a # the end", True),
+    "arity-leading-zero": ("domain a\nrel r/02: (a, a)", False),
+    "arity-non-ascii": ("domain a\nrel r/\u0662: (a, a)", False),
+    "reserved-in-tuple": ("domain a\nrel r/2: (a, all)", False),
+    "digit-first-name": ("domain a 2b\npred p: a", False),
+    "underscore-first-name": ("domain a\npred p: a _a", False),
+    "duplicate-symbol": ("domain a\npred p: a\nrel p/1: (a)", False),
+    "tuple-too-short": ("domain a\nrel r/2: (a, a) (a)", False),
+    "arity-1": ("domain a b\nrel r/1: (a) ( b )", True),
+    "empty-bodies": ("domain a\npred p:\nrel r/3:   ", True),
+    "two-domains": ("domain a\r\ndomain b\r\n", False),
+    "no-domain": ("# header\npred p: a", False),
+    # Model.from_names raises these on either path.
+    "unknown-atom": ("domain a\npred p: b\nrel r/1: (c)", True),
+    "symbol-is-atom": ("domain a p\npred p: a", True),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_MODELS)
+def test_edge_models_match_the_token_parser(case):
+    text, accepted = EDGE_MODELS[case]
+    assert (_accept_model(text) is not None) is accepted
+    assert _outcome(parse_model, text) == _outcome(_token_parse, text)
+
+
+def test_printed_models_take_the_accept_path():
+    rng = random.Random(83)
+    for _ in range(200):
+        text = print_model(random_model(rng, max_domain=5))
+        assert _accept_model(text) == _parse_model_tokens(text)
+
+
+# Mostly valid choices, with a reserved word and a name clash now and then.
+ATOM_NAMES = ["a", "b", "c", "x1", "y_2", "a", "b", "c", "all"]
+SYMBOL_NAMES = ["p", "q", "r", "s", "t", "p", "q", "r", "s", "t", "a", "rel"]
+GAPS = ["", "", " ", "\t", "\u00a0", "\r", " \x0c"]
+SEPARATORS = [" ", " ", "  ", "\t", "\u00a0", "\x0b"]
+MUTATIONS = [
+    "domain", "pred", "rel", "all", "(", ")", ",", ":", "/", "0", "02", "\u0662", "a",
+    "_", "$", "#", "\n", " ", "\r\n", "\r", "\x0b", "\u2028", "->", "\u00e9",
+]
+
+
+@st.composite
+def model_texts(draw):
+    """Model text from the grammar, with random whitespace and comments, then
+    at most one insertion, deletion or replacement of a fragment."""
+    def gap():
+        return draw(st.sampled_from(GAPS))
+
+    def sep():
+        return draw(st.sampled_from(SEPARATORS))
+
+    atoms = draw(st.lists(st.sampled_from(ATOM_NAMES), min_size=1, max_size=4))
+    lines = [gap() + "domain" + "".join(sep() + a for a in atoms) + gap()]
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(SYMBOL_NAMES))
+        if draw(st.booleans()):
+            members = draw(st.lists(st.sampled_from(atoms), max_size=3))
+            body = "".join(sep() + a for a in members)
+            lines.append(gap() + "pred" + sep() + name + gap() + ":" + body + gap())
+        else:
+            arity = draw(st.integers(1, 3))
+            # The token parser also reads a leading zero and non-ASCII digits.
+            arity_text = draw(st.sampled_from([str(arity)] * 4 + ["0" + str(arity),
+                                                                  chr(0x0660 + arity)]))
+            tuples = draw(st.lists(st.lists(st.sampled_from(atoms), min_size=arity,
+                                            max_size=arity), max_size=3))
+            body = "".join(
+                gap() + "(" + gap() + (gap() + "," + gap()).join(t) + gap() + ")"
+                for t in tuples
+            )
+            lines.append(
+                gap() + "rel" + sep() + name + gap() + "/" + gap() + arity_text + gap() + ":"
+                + body + gap()
+            )
+    statements = []
+    for line in lines:
+        if draw(st.booleans()):
+            statements.append(draw(st.sampled_from(["", " ", "# note", " # $ (a"])))
+        statements.append(line + draw(st.sampled_from(["", "", " # c", "#(a, b)"])))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(statements)
+    text += draw(st.sampled_from(["", "\n", "# end"]))
+    where = draw(st.integers(0, len(text)))
+    fragment = draw(st.sampled_from(MUTATIONS))
+    mutation = draw(st.sampled_from(["none", "none", "none", "insert", "delete", "replace"]))
+    if mutation == "insert":
+        text = text[:where] + fragment + text[where:]
+    elif mutation == "delete":
+        text = text[:where] + text[where + 1:]
+    elif mutation == "replace":
+        text = text[:where] + fragment + text[where + 1:]
+    return text
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(text=model_texts())
+def test_the_accept_path_agrees_with_the_token_parser(text):
+    assert _outcome(parse_model, text) == _outcome(_token_parse, text)
 
 
 class TestDepthLimit:
@@ -362,6 +498,30 @@ class TestDepthLimit:
             parse_formula("\n" + text, parse_model(ONE_ATOM_TEXT))
         assert info.value.bare_message == f"formula nests deeper than {MAX_DEPTH} levels"
         assert (info.value.line, info.value.column) == (2, column)
+
+    # An AST built in code has no depth limit, but one deeper than the
+    # interpreter's stack is an engine error, not a RecursionError.
+    @pytest.mark.parametrize("combine", [lambda f: Not(f), lambda f: And(f, Atom("p", "a"))],
+                             ids=["not", "left-nested-and"])
+    def test_an_ast_too_deep_for_the_stack_is_a_depth_error(self, combine):
+        m = parse_model(ONE_ATOM_TEXT)
+        f = Atom("p", "a")
+        for _ in range(5000):
+            f = combine(f)
+        for call in (lambda: evaluate(f, m), lambda: oracle_eval(f, m),
+                     lambda: print_formula(f)):
+            with pytest.raises(FormulaDepthError):
+                call()
+
+    def test_a_set_expression_too_deep_for_the_stack_is_a_depth_error(self):
+        m = parse_model(ONE_ATOM_TEXT)
+        e = PredSet("p")
+        for _ in range(5000):
+            e = Intersect(e, PredSet("p"))
+        for call in (lambda: oracle_set_eval(e, m), lambda: evaluate(Exists(e), m),
+                     lambda: oracle_eval(Exists(e), m), lambda: print_formula(Exists(e))):
+            with pytest.raises(FormulaDepthError):
+                call()
 
     def test_depth_counts_connectives_and_parentheses_together(self):
         m = parse_model(ONE_ATOM_TEXT)
