@@ -18,7 +18,7 @@ from .errors import ElementCapError
 from .model import Model
 from .tensor import DEFAULT_ELEMENT_CAP
 
-#: The largest relation arity :func:`random_model` draws by default.
+#: The largest relation arity :func:`random_model` draws.
 MAX_ARITY = 3
 
 
@@ -29,14 +29,9 @@ def check_relation_size(arity: int, n: int) -> None:
     ElementCapError.check(what, 2 * n**arity, DEFAULT_ELEMENT_CAP)
 
 
-def random_model(
-    rng: random.Random,
-    max_domain: int = 5,
-    n_predicates: int = 2,
-    n_relations: int = 1,
-    max_arity: int = MAX_ARITY,
-) -> Model:
-    """A model with atoms a0..a(n-1), predicates p0.., and relations r0.. .
+def random_model(rng: random.Random, max_domain: int = 5) -> Model:
+    """A model with atoms a0..a(n-1), predicates p0 and p1, and one relation
+    r0 of arity 2 to ``MAX_ARITY``.
 
     A relation that fails :func:`check_relation_size` raises
     :class:`ElementCapError` before any of its tuples is drawn.
@@ -44,20 +39,14 @@ def random_model(
     n = rng.randint(1, max_domain)
     atom_names = [f"a{i}" for i in range(n)]
     predicates = {
-        f"p{j}": [a for a in atom_names if rng.random() < 0.5]
-        for j in range(n_predicates)
+        f"p{j}": [a for a in atom_names if rng.random() < 0.5] for j in range(2)
     }
-    relations = {}
-    for j in range(n_relations):
-        arity = rng.randint(2, max(2, max_arity))
-        check_relation_size(arity, n)
-        tuples = [
-            tup
-            for tup in itertools.product(atom_names, repeat=arity)
-            if rng.random() < 0.5
-        ]
-        relations[f"r{j}"] = (arity, tuples)
-    return Model.from_names(atom_names, predicates, relations)
+    arity = rng.randint(2, MAX_ARITY)
+    check_relation_size(arity, n)
+    tuples = [
+        tup for tup in itertools.product(atom_names, repeat=arity) if rng.random() < 0.5
+    ]
+    return Model.from_names(atom_names, predicates, {"r0": (arity, tuples)})
 
 
 def random_set_expr(rng: random.Random, m: Model, max_depth: int = 2) -> dsl.SetExpr:

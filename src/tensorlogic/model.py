@@ -16,6 +16,7 @@ cannot be mixed by accident.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     UnknownPredicateError,
     UnknownRelationError,
 )
-from .tensor import FLOAT_TOL, Tensor, one_hot
+from .tensor import FLOAT_TOL, Tensor, _snap01, one_hot
 
 
 @dataclass(frozen=True)
@@ -192,22 +193,18 @@ def encode_set(m: Model, atom_names: Iterable[str]) -> Tensor:
 def decode_set(m: Model, v: Tensor) -> frozenset[str]:
     """The subset of the domain represented by a characteristic vector.
 
-    Entries must be 0 or 1 within ``FLOAT_TOL``; anything else means the
+    Entries must be 0 or 1 within ``FLOAT_TOL``, as decided by the one snap
+    in :mod:`tensorlogic.tensor`; anything else, NaN included, means the
     vector does not denote a set and is rejected.
     """
     if v.rank != 1 or v.shape[0] != m.domain_size:
         raise DimensionMismatchError(
             f"expected a vector of length {m.domain_size}, got shape {v.shape}"
         )
-    members = []
-    for atom, weight in zip(m.atoms, v.array):
-        if abs(weight - 1.0) <= FLOAT_TOL:
-            members.append(atom.name)
-        elif abs(weight) > FLOAT_TOL:
-            raise NonCharacteristicError(
-                f"entry {weight!r} at index {atom.index} is neither 0 nor 1"
-            )
-    return frozenset(members)
+    bits = _snap01(v.array)
+    if bits is None:
+        raise NonCharacteristicError(f"set vector entries must be 0 or 1, got {v.tolist()}")
+    return frozenset(compress(m.atom_names, bits.tolist()))
 
 
 @dataclass(frozen=True)

@@ -36,14 +36,14 @@ from .model import Model, TruthVec, decode_set, truth_bot, truth_top
 from .tensor import (
     FLOAT_TOL,
     Tensor,
+    _snap01,
     contract,
     diag_build,
-    diag_extract,
     elementwise_max,
     elementwise_min,
     ones,
 )
-from .truth import PredicateMatrix
+from .truth import PredicateMatrix, _truth_tensor
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,10 @@ class SetVector:
     """A 0/1 characteristic vector over the domain space.
 
     Entries within ``FLOAT_TOL`` of 0 or 1 are snapped to exact values at
-    construction, so downstream set comparisons are exact integer
-    comparisons.  Anything else is rejected: quantifiers have no defined
-    semantics off the 0/1 grid.
+    construction by the one snap in :mod:`tensorlogic.tensor`, so downstream
+    set comparisons are exact integer comparisons.  Anything else, NaN
+    included, is rejected: quantifiers have no defined semantics off the
+    0/1 grid.
     """
 
     tensor: Tensor
@@ -61,14 +62,12 @@ class SetVector:
     def __post_init__(self):
         if self.tensor.rank != 1:
             raise DimensionMismatchError(f"a set vector has rank 1, got {self.tensor.shape}")
-        arr = self.tensor.array
-        near_one = np.abs(arr - 1.0) <= FLOAT_TOL
-        near_zero = np.abs(arr) <= FLOAT_TOL
-        if not np.all(near_one | near_zero):
+        bits = _snap01(self.tensor.array)
+        if bits is None:
             raise NonCharacteristicError(
-                f"set vector entries must be 0 or 1, got {arr.tolist()}"
+                f"set vector entries must be 0 or 1, got {self.tensor.tolist()}"
             )
-        object.__setattr__(self, "tensor", Tensor._wrap(np.where(near_one, 1.0, 0.0)))
+        object.__setattr__(self, "tensor", Tensor._wrap(bits))
 
     @property
     def domain_size(self) -> int:
@@ -105,10 +104,8 @@ class SetPredicateMatrix:
 
 def build_set_predicate(m: Model, name: str) -> SetPredicateMatrix:
     """Diagonal predicate matrix for a declared predicate."""
-    extension = m.predicate_extension(name)
     diag = np.zeros(m.domain_size)
-    for i in extension:
-        diag[i] = 1.0
+    diag.put(list(m.predicate_extension(name)), 1.0)
     return SetPredicateMatrix(Tensor._wrap(np.diag(diag)), validate=False)
 
 
@@ -177,8 +174,8 @@ def convert_truth_to_set(p: PredicateMatrix) -> SetPredicateMatrix:
 def convert_set_to_truth(p: SetPredicateMatrix) -> PredicateMatrix:
     """Truth-style matrix from a set-style one: row 0 is the diagonal, row 1
     its pointwise complement."""
-    diag = diag_extract(p.tensor).array
-    return PredicateMatrix(Tensor(np.stack([diag, 1.0 - diag])), validate=False)
+    true_columns = np.flatnonzero(np.diagonal(p.tensor.array))
+    return PredicateMatrix(_truth_tensor((p.domain_size,), true_columns), validate=False)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,16 @@ DEFAULT_ELEMENT_CAP = 10_000_000
 FLOAT_TOL = 1e-12
 
 
+def _snap01(arr: np.ndarray) -> np.ndarray | None:
+    """``arr`` with each entry within ``FLOAT_TOL`` of 0 or 1 snapped to it
+    exactly, or ``None`` if any entry is neither (NaN included): the one
+    tolerant check of the 0/1 invariant on arrays."""
+    bits = (arr > 0.5).astype(np.float64)
+    if not (np.abs(arr - bits) <= FLOAT_TOL).all():
+        return None
+    return bits
+
+
 class Tensor:
     """Immutable dense rank-k array of float64 scalars, k >= 1.
 

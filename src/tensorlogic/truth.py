@@ -13,6 +13,8 @@ correct, and partially applied relations remain well-formed relational
 tensors.  :func:`build_relation_slice` builds the predicate matrix that
 binding every argument but the last leaves, straight from the relation's
 tuples and without the dense tensor; plans load relations only that way.
+One fill builds every truth tensor, dense or sliced: the false row is one
+minus the true row, so each column is a truth basis vector by construction.
 
 Connectives are constant tensors over the truth space: negation is the 2 x 2
 swap matrix, and each binary connective is a 2 x 2 x 2 tensor whose last index
@@ -36,7 +38,7 @@ from .errors import (
     NonOneHotError,
 )
 from .model import Model, TruthVec
-from .tensor import DEFAULT_ELEMENT_CAP, FLOAT_TOL, Tensor, contract
+from .tensor import DEFAULT_ELEMENT_CAP, FLOAT_TOL, Tensor, _snap01, contract
 
 Mode = str  # "crisp" | "prob"
 
@@ -167,18 +169,20 @@ def connective_tensor(kind: Connective | str) -> ConnectiveTensor:
     return CONNECTIVES[kind]
 
 
-def _truth_matrix(n: int, true_columns: list[int]) -> PredicateMatrix:
-    """The (2, n) predicate matrix that is true exactly at ``true_columns``."""
-    arr = np.zeros((2, n))
-    arr[0].put(true_columns, 1.0)
+def _truth_tensor(shape: tuple[int, ...], true_indices) -> Tensor:
+    """The (2, *shape) truth tensor that is true exactly at the flat indices
+    ``true_indices`` of ``shape`` and false everywhere else."""
+    arr = np.zeros((2,) + shape)
+    arr[0].put(true_indices, 1.0)
     np.subtract(1.0, arr[0], out=arr[1])
-    return PredicateMatrix(Tensor._wrap(arr), validate=False)
+    return Tensor._wrap(arr)
 
 
 def build_predicate(m: Model, name: str) -> PredicateMatrix:
     """Predicate matrix for a declared predicate: column i is true iff atom i
     is in the predicate's extension."""
-    return _truth_matrix(m.domain_size, list(m.predicate_extension(name)))
+    columns = list(m.predicate_extension(name))
+    return PredicateMatrix(_truth_tensor((m.domain_size,), columns), validate=False)
 
 
 def build_relation(
@@ -192,17 +196,14 @@ def build_relation(
     shape an arity-2 relation reaches after one partial application.
     """
     decl = m.relation_decl(name)
-    n = m.domain_size
-    shape = (2,) + (n,) * decl.arity
-    ElementCapError.check(name, 2 * n**decl.arity, cap)
-    arr = np.zeros(shape)
-    arr[1] = 1.0
-    for tup in decl.tuples:
-        arr[(0,) + tuple(reversed(tup))] = 1.0
-        arr[(1,) + tuple(reversed(tup))] = 0.0
-    if decl.arity == 1:
-        return PredicateMatrix(Tensor._wrap(arr), validate=False)
-    return RelationTensor(decl.arity, Tensor._wrap(arr), validate=False)
+    n, k = m.domain_size, decl.arity
+    ElementCapError.check(name, 2 * n**k, cap)
+    # Tuple (t1, ..., tk) sits at flat index t1 + t2*n + ... + tk*n**(k-1).
+    tuples = np.array(list(decl.tuples), dtype=np.intp).reshape(-1, k)
+    tensor = _truth_tensor((n,) * k, tuples @ n ** np.arange(k))
+    if k == 1:
+        return PredicateMatrix(tensor, validate=False)
+    return RelationTensor(k, tensor, validate=False)
 
 
 def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> PredicateMatrix:
@@ -226,7 +227,7 @@ def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Predica
     prefix = tuple(m.atom_index(b) for b in bound)
     k = len(prefix)
     true_columns = [tup[-1] for tup in decl.tuples if tup[:k] == prefix]
-    return _truth_matrix(m.domain_size, true_columns)
+    return PredicateMatrix(_truth_tensor((m.domain_size,), true_columns), validate=False)
 
 
 def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> bool:
@@ -238,11 +239,8 @@ def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> bool:
         )
     values = arg.array
     if mode == "crisp":
-        is_one_hot = (
-            np.count_nonzero(np.abs(values - 1.0) <= FLOAT_TOL) == 1
-            and np.count_nonzero(np.abs(values) > FLOAT_TOL) == 1
-        )
-        if not is_one_hot:
+        bits = _snap01(values)
+        if bits is None or bits.sum() != 1.0:
             raise NonOneHotError(f"crisp application requires a one-hot argument, got {values.tolist()}")
         return False
     convex = bool(np.all(values >= -FLOAT_TOL) and abs(values.sum() - 1.0) <= FLOAT_TOL)
@@ -282,8 +280,11 @@ def partial_apply(
     """Contract a relation with a proper prefix of its arguments.
 
     Binding the first k of n arguments leaves an arity-(n-k) relational
-    tensor; with one open slot left the result is a predicate matrix.  The
-    outputs inherit validity from the inputs, so no re-validation runs.
+    tensor; with one open slot left the result is a predicate matrix.  Crisp
+    arguments are checked one-hot, so a crisp output inherits validity from
+    the relation and is not checked again.  A mixed "prob" argument leaves
+    columns off the truth basis, so a prob output is validated: such a
+    result raises :class:`InvalidPredicateError`.
     """
     _require_mode(mode)
     if len(prefix_args) >= r.arity:
@@ -296,8 +297,8 @@ def partial_apply(
         out = contract(out, arg)
     remaining = r.arity - len(prefix_args)
     if remaining == 1:
-        return PredicateMatrix(out, validate=False)
-    return RelationTensor(remaining, out, validate=False)
+        return PredicateMatrix(out, validate=mode == "prob")
+    return RelationTensor(remaining, out, validate=mode == "prob")
 
 
 def connective_not(v: TruthVec) -> TruthVec:

@@ -1,6 +1,7 @@
 """Model structures, vector encodings, and truth-vector basics."""
 
 import itertools
+import math
 
 import pytest
 
@@ -10,6 +11,7 @@ from tensorlogic.errors import (
     DuplicateNameError,
     InvalidTruthValueError,
     NonCharacteristicError,
+    NonOneHotError,
     UnknownAtomError,
     UnknownPredicateError,
     UnknownRelationError,
@@ -25,7 +27,9 @@ from tensorlogic.model import (
     truth_bot,
     truth_top,
 )
+from tensorlogic.sets import SetVector
 from tensorlogic.tensor import Tensor
+from tensorlogic.truth import apply_predicate, build_predicate
 
 
 class TestModelValidation:
@@ -179,3 +183,44 @@ class TestTruthVec:
         assert str(truth_top()) == "⊤"
         assert str(truth_bot()) == "⊥"
         assert str(TruthVec(0.25, 0.75)) == "[0.25, 0.75]"
+
+
+# Each row, the bits it snaps to (None: it is not a 0/1 vector), and whether
+# it is also one-hot.
+ZERO_ONE_ROWS = [
+    ([1.0, 0.0], [1.0, 0.0], True),
+    ([1 + 5e-13, -5e-13], [1.0, 0.0], True),
+    ([1 + 2e-12, 0.0], None, False),
+    ([1.0, math.nan], None, False),
+    ([1.0, math.inf], None, False),
+    ([0.5, 0.5], None, False),
+    ([1.0, 1.0], [1.0, 1.0], False),
+]
+
+
+@pytest.mark.parametrize(
+    "row, bits, one_hot",
+    ZERO_ONE_ROWS,
+    ids=["exact", "within-tol", "beyond-tol", "nan", "inf", "half", "both"],
+)
+def test_zero_one_checks_agree_at_the_tolerance_edge(row, bits, one_hot):
+    """The two characteristic-vector checks and the two one-hot checks
+    accept and reject alike, and read the same bits from what they accept."""
+    m = Model.from_names(["a", "b"], predicates={"p": ["a"]})
+    v = Tensor(row)
+    if bits is None:
+        with pytest.raises(NonCharacteristicError):
+            SetVector(v)
+        with pytest.raises(NonCharacteristicError):
+            decode_set(m, v)
+    else:
+        assert SetVector(v).tensor.tolist() == bits
+        assert decode_set(m, v) == {a for a, bit in zip(m.atom_names, bits) if bit}
+    truth = TruthVec(*row)
+    assert truth.is_crisp is one_hot
+    if one_hot:
+        assert truth.as_bool() is (bits[0] == 1.0)
+        assert apply_predicate(build_predicate(m, "p"), v).as_bool() is (bits[0] == 1.0)
+    else:
+        with pytest.raises(NonOneHotError):
+            apply_predicate(build_predicate(m, "p"), v)

@@ -96,13 +96,18 @@ class TestBuildRelation:
         assert isinstance(built, PredicateMatrix)
         assert built.tensor == Tensor([[0, 1], [1, 0]])
 
-    def test_membership_oracle_200_random_relations(self):
-        for m in random_models(seed=202, count=200, max_domain=4):
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_membership_oracle_200_random_relations(self, arity):
+        for m in random_models(seed=202, count=200, max_domain=4, arity=arity):
             r = build_relation(m, "r")
             tuples = m.relation_decl("r").tuples
-            for pair in itertools.product(range(m.domain_size), repeat=2):
-                args = [encode_atom(m, m.atom_names[i]) for i in pair]
-                assert apply_relation(r, args).as_bool() is (pair in tuples)
+            for tup in itertools.product(range(m.domain_size), repeat=arity):
+                args = [encode_atom(m, m.atom_names[i]) for i in tup]
+                if arity == 1:
+                    result = apply_predicate(r, args[0])
+                else:
+                    result = apply_relation(r, args)
+                assert result.as_bool() is (tup in tuples)
 
     def test_validation_rejects_unnormalized(self):
         with pytest.raises(InvalidPredicateError):
@@ -199,6 +204,18 @@ class TestPartialApply:
         pm = partial_apply(r, [encode_atom(loves_model, "m")])
         # Derived object passes strict validation too.
         PredicateMatrix(pm.tensor)
+
+    def test_prob_mode_validates_the_result(self, loves_model):
+        r = build_relation(loves_model, "loves")
+        with pytest.raises(InvalidPredicateError):
+            partial_apply(r, [Tensor([0.5, 0.5])], mode="prob")
+
+    def test_prob_mode_one_hot_gives_crisp_result(self, loves_model):
+        m = loves_model
+        r = build_relation(m, "loves")
+        for atom in m.atom_names:
+            args = [encode_atom(m, atom)]
+            assert partial_apply(r, args, mode="prob") == partial_apply(r, args)
 
     def test_full_application_rejected(self, loves_model):
         r = build_relation(loves_model, "loves")
