@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ElementCapError, TensorLogicError
 from .evaluator import SweepConfig, compile_formula, equivalence_sweep, execute, oracle_eval
-from .dsl import And, Atom, Implies, Not, Or, parse_formula, parse_model
+from .dsl import MAX_DEPTH, And, Atom, Implies, Not, Or, parse_formula, parse_model
 from .generate import MAX_ARITY, check_relation_size
 from .model import Model, truth_bot, truth_top
 from .sets import build_set_predicate, convert_set_to_truth, convert_truth_to_set
@@ -260,6 +260,15 @@ def sweep_domain(text: str) -> int:
     return value
 
 
+def sweep_depth(text: str) -> int:
+    """A ``--max-depth`` whose formulas, at most ``depth - 1`` deep, print
+    at most twice that deep: within ``MAX_DEPTH``, so every dump re-parses."""
+    value = positive_int(text)
+    if value > MAX_DEPTH // 2:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_DEPTH // 2}, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
@@ -298,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = sub.add_parser("sweep", help="run the tensor-versus-oracle equivalence sweep")
     sweep_parser.add_argument("--seed", type=int, default=0)
     sweep_parser.add_argument("--max-domain", type=sweep_domain, default=3)
-    sweep_parser.add_argument("--max-depth", type=positive_int, default=3)
+    sweep_parser.add_argument("--max-depth", type=sweep_depth, default=3)
     sweep_parser.add_argument("--count", type=positive_int, default=1000)
     sweep_parser.add_argument("--report", help="write one JSON record per instance to this file")
     sweep_parser.add_argument("--artifacts", help="directory for disagreement dumps")

@@ -1,19 +1,24 @@
 """Formula compilation to contraction plans, execution, and oracle checking.
 
 A :class:`ContractionPlan` is a flat register program: each step loads a
-model-derived tensor or combines registers with one of five instructions
-(contract, pointwise min/max, subset test, nonemptiness test).  Plans are
-compiled bottom-up with no common subexpressions shared, so the executed
-steps read off as the evaluation trace of the formula.
+model-derived tensor or combines registers with one of four instructions
+(contract, columnwise, subset test, nonemptiness test).  Plans are compiled
+bottom-up with no common subexpressions shared, so the executed steps read
+off as the evaluation trace of the formula.
 
 A relation is never loaded whole.  Applying it loads the (2, n) slice that
 fixes every argument but the last, built from the relation's tuples and
 noted ``rel:loves(j,_)``; a full application then contracts that slice with
 the last argument's one-hot vector, as a predicate application does.  So no
-plan holds a relation tensor of rank above 2.  Every set leaf is the true row
-of a (2, n) matrix: of its slice for a partial application, and for a
-predicate of the ``pred:`` matrix its applications load, so a predicate has
-one memo entry and no plan loads an (n, n) diagonal.
+plan holds a relation tensor of rank above 2.
+
+A set expression is a formula with one free variable: a (2, n) matrix of
+truth columns.  A predicate set is the ``pred:`` matrix its applications
+load (no plan loads an (n, n) diagonal), a partial application is its slice,
+and ``columnwise`` combines two with ``conn:and`` or ``conn:or``:
+out[a, j] = sum_bc C[a, b, c] L[c, j] R[b, j].  Each quantifier operand's
+true row is read once, so ``forall`` and ``exists`` are a plan's only
+non-linear steps.
 
 The tensors a plan loads depend on the model alone, not on the formula that
 applies them.  Each one is built on first use and kept on the model under
@@ -66,7 +71,7 @@ class Instr:
     the other ops read the registers in ``srcs``.
     """
 
-    op: str  # "load" | "contract" | "emin" | "emax" | "forall" | "exists"
+    op: str  # "load" | "contract" | "columnwise" | "forall" | "exists"
     dest: int
     srcs: tuple[int, ...] = ()
     payload: Tensor | None = None
@@ -133,15 +138,16 @@ class _PlanBuilder:
         shape = left[:-1] + right[1:]
         return self.emit("contract", (a, b), shape or (1,))
 
-    def pointwise(self, op: str, a: int, b: int) -> int:
-        if self.shapes[a] != self.shapes[b]:
-            raise DimensionMismatchError(
-                f"plan step {op} needs equal shapes, got {self.shapes[a]} and {self.shapes[b]}"
-            )
-        return self.emit(op, (a, b), self.shapes[a])
-
     def load_constant(self, note: str, tensor: Tensor) -> int:
         return self.load(note, tensor.shape, lambda: tensor)
+
+    def load_connective(self, kind: str) -> int:
+        return self.load_constant(f"conn:{kind}", connective_tensor(kind).tensor)
+
+    def columnwise(self, kind: str, a: int, b: int) -> int:
+        """Combine two (2, n) set matrices column by column with ``conn:kind``."""
+        t = self.load_connective(kind)
+        return self.emit("columnwise", (t, a, b), self.shapes[a])
 
     def load_predicate(self, pred: str) -> int:
         """Load the (2, n) truth matrix of predicate ``pred``."""
@@ -172,37 +178,37 @@ class _PlanBuilder:
                 return self.apply(self.load_slice(rel, args[:-1]), args[-1])
             case dsl.Not(body):
                 b = self.lower_formula(body)
-                t = self.load_constant("conn:not", connective_tensor("not").tensor)
-                return self.contract(t, b)
+                return self.contract(self.load_connective("not"), b)
             case dsl.And() | dsl.Or() | dsl.Implies():
                 kind = {dsl.And: "and", dsl.Or: "or", dsl.Implies: "implies"}[type(f)]
                 left = self.lower_formula(f.left)
                 right = self.lower_formula(f.right)
-                t = self.load_constant(f"conn:{kind}", connective_tensor(kind).tensor)
-                return self.contract(self.contract(t, left), right)
+                return self.contract(self.contract(self.load_connective(kind), left), right)
             case dsl.ForAll(subset, superset):
-                x = self.lower_set(subset)
-                y = self.lower_set(superset)
+                x, y = self.lower_operand(subset), self.lower_operand(superset)
                 return self.emit("forall", (x, y), (2,))
             case dsl.Exists(body):
-                x = self.lower_set(body)
-                return self.emit("exists", (x,), (2,))
+                return self.emit("exists", (self.lower_operand(body),), (2,))
         raise TypeError(f"not a formula node: {f!r}")
 
-    def lower_set(self, e: dsl.SetExpr) -> int:
-        match e:
-            case dsl.PredSet(name):
-                matrix = self.load_predicate(name)
-            case dsl.PartialRel(rel, bound):
-                matrix = self.load_slice(rel, bound)
-            case dsl.Intersect(left, right):
-                return self.pointwise("emin", self.lower_set(left), self.lower_set(right))
-            case dsl.Union(left, right):
-                return self.pointwise("emax", self.lower_set(left), self.lower_set(right))
-            case _:
-                raise TypeError(f"not a set expression node: {e!r}")
+    def lower_operand(self, e: dsl.SetExpr) -> int:
+        """The true row of a quantifier operand's (2, n) matrix."""
+        matrix = self.lower_set(e)
         probe = self.load_constant("true-row-probe", _TRUE_ROW_PROBE)
         return self.contract(probe, matrix)
+
+    def lower_set(self, e: dsl.SetExpr) -> int:
+        """The (2, n) truth matrix of a set expression over the domain."""
+        match e:
+            case dsl.PredSet(name):
+                return self.load_predicate(name)
+            case dsl.PartialRel(rel, bound):
+                return self.load_slice(rel, bound)
+            case dsl.Intersect(left, right):
+                return self.columnwise("and", self.lower_set(left), self.lower_set(right))
+            case dsl.Union(left, right):
+                return self.columnwise("or", self.lower_set(left), self.lower_set(right))
+        raise TypeError(f"not a set expression node: {e!r}")
 
 
 def compile_formula(
@@ -224,11 +230,11 @@ def compile_formula(
 def execute(plan: ContractionPlan) -> TruthVec:
     """Run a plan's steps over a register file and return the truth vector.
 
-    Registers hold plain ndarrays: the payloads' own read-only arrays and
-    the fresh outputs of contraction, ``np.minimum`` and ``np.maximum``,
-    computed exactly as :mod:`tensorlogic.tensor` computes them.  Shapes were
-    checked at compile time; the quantifiers still check that their operands
-    are characteristic vectors, and the result that it is a truth vector.
+    Registers hold plain ndarrays: the payloads' own read-only arrays and the
+    fresh outputs of ``columnwise`` and of ``contract``, computed exactly as
+    :func:`tensorlogic.tensor.contract` computes it.  Shapes were checked at
+    compile time; the quantifiers still check that their operands are
+    characteristic vectors, and the result that it is a truth vector.
     """
     registers: list[np.ndarray | None] = [None] * plan.register_count
     for instr in plan.steps:
@@ -242,10 +248,9 @@ def execute(plan: ContractionPlan) -> TruthVec:
                 k = right.shape[0]
                 value = np.dot(left.reshape(-1, k), right.reshape(k, -1))
                 value = value.reshape(plan.register_shapes[instr.dest])
-            case "emin":
-                value = np.minimum(registers[instr.srcs[0]], registers[instr.srcs[1]])
-            case "emax":
-                value = np.maximum(registers[instr.srcs[0]], registers[instr.srcs[1]])
+            case "columnwise":
+                conn, left, right = (registers[s] for s in instr.srcs)
+                value = np.einsum("abc,cj,bj->aj", conn, left, right)
             case "forall":
                 x, y = (SetVector(Tensor._wrap(registers[s])) for s in instr.srcs)
                 value = forall(x, y).to_tensor().array

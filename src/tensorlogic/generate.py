@@ -91,15 +91,10 @@ def random_truth_formula(rng: random.Random, m: Model, max_depth: int) -> dsl.Fo
     )
 
 
-def random_formula(
-    rng: random.Random,
-    m: Model,
-    max_depth: int = 3,
-    quantifier_probability: float = 0.25,
-) -> dsl.Formula:
-    """A bound formula over ``m``; quantified at the root with the given
-    probability."""
-    if m.predicates and rng.random() < quantifier_probability:
+def random_formula(rng: random.Random, m: Model, max_depth: int = 3) -> dsl.Formula:
+    """A bound formula over ``m``, quantified at the root with probability
+    1/4 when ``m`` has a predicate."""
+    if m.predicates and rng.random() < 0.25:
         set_depth = max(1, max_depth - 1)
         if rng.random() < 0.5:
             return dsl.ForAll(

@@ -5,9 +5,10 @@ diagonal 0/1 matrix over the domain space that maps a characteristic vector
 to the characteristic vector of the filtered subset (the intersection with
 the predicate's extension).  Replacing a bound variable with the all-ones
 vector turns such a matrix back into the plain characteristic vector of its
-extension, which is what the quantifiers consume.  Compiled plans take that
-vector directly as the true row of the truth-style predicate matrix, which
-equals the diagonal times the all-ones vector without building the diagonal.
+extension, which is what the quantifiers consume.  Compiled plans keep a set
+expression as a truth-style (2, n) matrix, combined by the ``and``/``or``
+connective tensors rather than :func:`intersect`/:func:`union`, and hand a
+quantifier its true row: the diagonal times the all-ones vector.
 
 ``forall`` and ``exists`` are decision procedures over characteristic
 vectors, not multilinear maps: scaling a zero vector changes nothing about

@@ -13,8 +13,6 @@ to a sparse or chunked representation.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import (
@@ -124,18 +122,8 @@ class Tensor:
         return f"Tensor({self._array.tolist()!r})"
 
 
-def zeros(shape: int | Sequence[int]) -> Tensor:
-    if isinstance(shape, int):
-        shape = (shape,)
-    return Tensor(np.zeros(shape))
-
-
 def ones(n: int) -> Tensor:
     return Tensor(np.ones(n))
-
-
-def identity(n: int) -> Tensor:
-    return Tensor(np.eye(n))
 
 
 def one_hot(index: int, size: int) -> Tensor:

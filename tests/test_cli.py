@@ -260,6 +260,15 @@ class TestFlagRanges:
         assert result.returncode == 2
         assert flag in result.stderr and "Traceback" not in result.stderr
 
+    def test_max_depth_above_half_the_nesting_limit_is_refused(self):
+        # A depth-50 formula prints at most 98 levels deep, within MAX_DEPTH.
+        parse = cli.build_parser().parse_args
+        assert parse(["sweep", "--max-depth", str(MAX_DEPTH // 2)]).max_depth == 50
+        result = run_cli("sweep", "--max-depth", "2000", "--count", "20")
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("usage:") and "Traceback" not in result.stderr
+        assert "argument --max-depth: must be <= 50, got 2000" in result.stderr
+
     def test_cap_guards_predicate_loads(self, model_file):
         # pred:mathematician is a 2 x 3 matrix: 6 elements.
         result = run_cli("eval", "--model", model_file, "--cap", "5",

@@ -15,13 +15,23 @@ import numpy as np
 import pytest
 
 from tensorlogic.cli import main
-from tensorlogic.dsl import Atom, Exists, ForAll, PredSet, RelAtom, parse_formula
+from tensorlogic.dsl import (
+    Atom,
+    Exists,
+    ForAll,
+    Intersect,
+    PredSet,
+    RelAtom,
+    Union,
+    parse_formula,
+)
 from tensorlogic.errors import PlanTooLargeError
-from tensorlogic.evaluator import compile_formula, execute, oracle_eval
+from tensorlogic.evaluator import ContractionPlan, Instr, compile_formula, execute, oracle_eval
 from tensorlogic.generate import random_formula, random_model
-from tensorlogic.model import Model, TruthVec
+from tensorlogic.model import Model, TruthVec, encode_atom
 from tensorlogic.sets import SetVector, exists, forall
-from tensorlogic.tensor import contract, elementwise_max, elementwise_min
+from tensorlogic.tensor import Tensor, contract
+from tensorlogic.truth import connective_binary
 
 
 def reference_execute(plan):
@@ -35,14 +45,19 @@ def reference_execute(plan):
                 value = instr.payload
             case "contract":
                 value = contract(*srcs)
-            case "emin":
-                value = elementwise_min(*srcs)
-            case "emax":
-                value = elementwise_max(*srcs)
+            case "columnwise":
+                conn, left, right = srcs
+                columns = [
+                    contract(contract(conn, Tensor(left[:, j])), Tensor(right[:, j])).array
+                    for j in range(left.shape[1])
+                ]
+                value = Tensor(np.stack(columns, axis=1))
             case "forall":
                 value = forall(SetVector(srcs[0]), SetVector(srcs[1])).to_tensor()
             case "exists":
                 value = exists(SetVector(srcs[0])).to_tensor()
+            case _:
+                raise ValueError(f"reference executor has no plan op {instr.op!r}")
         registers[instr.dest] = value
     return TruthVec.from_tensor(registers[plan.result])
 
@@ -79,6 +94,74 @@ def test_warm_memo_matches_fresh_model_reference_and_oracle():
             assert bits(result) == bits(reference_execute(plan))
             assert result.as_bool() == oracle_eval(f, m)
     assert warm_loads > 0
+
+
+def test_plans_use_five_ops_and_one_probe_per_quantifier_operand():
+    rng = random.Random(2027)
+    operands = {"forall": 2, "exists": 1}
+    for _ in range(400):
+        m = random_model(rng, max_domain=4)
+        f = random_formula(rng, m, max_depth=4)
+        plan = compile_formula(f, m)
+        ops = [instr.op for instr in plan.steps]
+        assert set(ops) <= {"load", "contract", "columnwise", "forall", "exists"}
+        probes = sum(instr.note == "true-row-probe" for instr in plan.steps)
+        assert probes == sum(operands.get(op, 0) for op in ops)
+        assert bits(execute(plan)) == bits(reference_execute(plan))
+
+
+def test_describe_of_an_intersection():
+    m = Model.from_names(["a", "b", "c"], {"p": ["a", "b"], "q": ["b"]})
+    plan = compile_formula(parse_formula("exists (p & q)", m), m)
+    assert plan.describe().splitlines() == [
+        "r0 <- load pred:p  shape (2, 3)",
+        "r1 <- load pred:q  shape (2, 3)",
+        "r2 <- load conn:and  shape (2, 2, 2)",
+        "r3 <- columnwise r2 r0 r1  shape (2, 3)",
+        "r4 <- load true-row-probe  shape (2,)",
+        "r5 <- contract r4 r3  shape (3,)",
+        "r6 <- exists r5  shape (2,)",
+        "result: r6",
+    ]
+
+
+def executed_column(plan: ContractionPlan, reg: int, m: Model, j: int) -> TruthVec:
+    """Column ``j`` of register ``reg`` as ``execute`` computes it: the plan
+    up to ``reg``, then a contraction with the one-hot vector of atom j."""
+    k = reg + 1
+    atom = Instr("load", k, payload=encode_atom(m, m.atom_names[j]), note="atom")
+    read = Instr("contract", k + 1, srcs=(reg, k))
+    shapes = plan.register_shapes[:k] + ((m.domain_size,), (2,))
+    return execute(ContractionPlan(plan.steps[:k] + (atom, read), k + 1, shapes))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+@pytest.mark.parametrize(
+    "kind, node, setop", [("and", Intersect, np.minimum), ("or", Union, np.maximum)]
+)
+def test_columnwise_is_the_connective_at_every_column(n, kind, node, setop):
+    rng = random.Random(n)
+    names = [f"a{i}" for i in range(n)]
+    for _ in range(10):
+        m = Model.from_names(
+            names, {s: [a for a in names if rng.random() < 0.5] for s in ("p", "q")}
+        )
+        plan = compile_formula(Exists(node(PredSet("p"), PredSet("q"))), m)
+        (step,) = (instr for instr in plan.steps if instr.op == "columnwise")
+        conn, left, right = (plan.steps[s] for s in step.srcs)
+        assert (conn.note, left.note, right.note) == (f"conn:{kind}", "pred:p", "pred:q")
+        left, right = left.payload.array, right.payload.array
+        true_row = []
+        for j in range(n):
+            column = executed_column(plan, step.dest, m, j)
+            expected = connective_binary(
+                kind,
+                TruthVec.from_tensor(Tensor(left[:, j])),
+                TruthVec.from_tensor(Tensor(right[:, j])),
+            )
+            assert bits(column) == bits(expected)
+            true_row.append(column.t)
+        assert np.array(true_row).tobytes() == setop(left[0], right[0]).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from tensorlogic.sets import (
     predicate_vector,
     union,
 )
-from tensorlogic.tensor import Tensor, diag_extract, identity, ones, zeros
+from tensorlogic.tensor import Tensor, diag_extract, ones
 from tensorlogic.truth import apply_predicate, build_predicate, build_relation, partial_apply
 
 
@@ -118,7 +118,7 @@ class TestPredicateVector:
         )
 
     def test_identity_matrix_gives_ones(self):
-        p = SetPredicateMatrix(identity(4))
+        p = SetPredicateMatrix(Tensor(np.eye(4)))
         assert predicate_vector(p) == SetVector(ones(4))
 
     def test_equals_extension_encoding(self):
@@ -160,7 +160,7 @@ class TestForall:
         assert forall(human, greek) == truth_bot()
 
     def test_empty_set_is_subset_of_anything(self):
-        empty = SetVector(zeros(4))
+        empty = SetVector(Tensor(np.zeros(4)))
         for y in bit_vectors(4):
             assert forall(empty, SetVector(y)) == truth_top()
 
@@ -189,7 +189,7 @@ class TestExists:
         assert exists(witness) == truth_top()
 
     def test_empty_set(self):
-        assert exists(SetVector(zeros(3))) == truth_bot()
+        assert exists(SetVector(Tensor(np.zeros(3)))) == truth_bot()
 
     def test_exhaustive_nonempty_oracle(self):
         for bits in itertools.product((0.0, 1.0), repeat=6):
