@@ -8,13 +8,12 @@ independent set-theoretic oracle that never touches a tensor.
 """
 
 from .errors import TensorLogicError
-from .model import DomainAtom, Model, TruthVec, decode_set, encode_atom, encode_set, truth_bot, truth_top
+from .model import Model, TruthVec, decode_set, encode_atom, encode_set, truth_bot, truth_top
 from .tensor import (
     DEFAULT_ELEMENT_CAP,
     Tensor,
     contract,
     diag_build,
-    diag_extract,
     elementwise_max,
     elementwise_min,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "Connective",
     "ContractionPlan",
     "DEFAULT_ELEMENT_CAP",
-    "DomainAtom",
     "Model",
     "PredicateMatrix",
     "RelationTensor",
@@ -82,7 +80,6 @@ __all__ = [
     "convert_truth_to_set",
     "decode_set",
     "diag_build",
-    "diag_extract",
     "elementwise_max",
     "elementwise_min",
     "encode_atom",

@@ -64,6 +64,7 @@ from .errors import (
     EmbeddedQuantifierError,
     FormulaDepthError,
     ParseError,
+    TensorLogicError,
     UnknownNameError,
 )
 from .model import Model
@@ -168,6 +169,7 @@ Formula = Atom | RelAtom | Not | And | Or | Implies | ForAll | Exists
 
 #: A name, as the tokenizer and the model accept path read one.
 _NAME = "[A-Za-z][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
 
 _TOKEN_RE = re.compile(
     rf"""(?P<ws>[^\S\n]+)
@@ -443,13 +445,22 @@ def _parse_model_tokens(text: str) -> _Declarations:
 
 
 def print_model(m: Model) -> str:
-    """Canonical model text; re-parses to an equal model."""
+    """Canonical model text; re-parses to an equal model.
+
+    A name the grammar cannot read back, such as ``"a b"`` or a reserved
+    word, raises :class:`TensorLogicError`; the first such name in printed
+    order is the one named.
+    """
+    predicates, relations = sorted(m.predicates), sorted(m.relations)
+    for name in (*m.atom_names, *predicates, *relations):
+        if name in RESERVED or _NAME_RE.fullmatch(name) is None:
+            raise TensorLogicError(f"name {name!r} cannot be printed as model text")
     lines = ["domain " + " ".join(m.atom_names)]
     index_to_name = m.atom_names
-    for name in sorted(m.predicates):
+    for name in predicates:
         members = " ".join(index_to_name[i] for i in sorted(m.predicates[name]))
         lines.append(f"pred {name}:" + (f" {members}" if members else ""))
-    for name in sorted(m.relations):
+    for name in relations:
         decl = m.relations[name]
         tuples = " ".join(
             "(" + ", ".join(index_to_name[i] for i in tup) + ")"

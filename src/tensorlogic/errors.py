@@ -20,10 +20,6 @@ class RankError(TensorLogicError):
     """A tensor with an unsupported rank (e.g. rank 0) was requested."""
 
 
-class NotSquareError(TensorLogicError):
-    """A square matrix was required but the operand is not square."""
-
-
 class ElementCapError(TensorLogicError):
     """A tensor would exceed the element cap; :meth:`check` is the one check."""
 

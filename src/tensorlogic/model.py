@@ -4,7 +4,9 @@ A :class:`Model` fixes an ordered domain of named atoms plus predicate and
 relation extensions.  The declaration order of atoms induces the basis order
 of the domain vector space: atom ``i`` maps to the ``i``-th standard basis
 vector, and subsets of the domain map to 0/1 characteristic vectors.  All
-tensor indices downstream inherit this ordering.
+tensor indices downstream inherit this ordering.  :meth:`Model.from_names` is
+the one constructor and the one check: it resolves every name to its index
+and rejects a malformed model before anything is stored.
 
 Truth values live in a separate 2-dimensional space with basis "true" /
 "false".  :class:`TruthVec` is deliberately a distinct type from
@@ -35,14 +37,6 @@ from .tensor import FLOAT_TOL, Tensor, _snap01, one_hot
 
 
 @dataclass(frozen=True)
-class DomainAtom:
-    """A named individual with its 0-based position in the domain ordering."""
-
-    name: str
-    index: int
-
-
-@dataclass(frozen=True)
 class RelationDecl:
     """An n-ary relation extension stored as index tuples."""
 
@@ -50,63 +44,26 @@ class RelationDecl:
     tuples: frozenset[tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Model:
     """Immutable finite structure: atoms, predicate sets, relation tuple sets.
 
-    Extensions are stored by atom index.  Use :meth:`from_names` to build a
-    model from name-based declarations; the constructor validates everything
-    either way.
+    Extensions are stored by atom index.  :meth:`from_names` is the one
+    constructor and runs every check once; calling ``Model(...)`` directly
+    raises ``TypeError``, so no model skips them.
     """
 
-    atoms: tuple[DomainAtom, ...]
-    predicates: dict[str, frozenset[int]] = field(default_factory=dict)
-    relations: dict[str, RelationDecl] = field(default_factory=dict)
+    #: Atom names in domain order: atom ``i`` is the ``i``-th basis vector.
+    atom_names: tuple[str, ...]
+    predicates: dict[str, frozenset[int]]
+    relations: dict[str, RelationDecl]
+    #: Each atom name's index in ``atom_names``.
+    _index: dict[str, int] = field(compare=False, repr=False)
     #: Tensors that plans load, keyed by load note; see :meth:`_memo_tensor`.
-    _tensors: dict[str, Tensor] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    #: Atom names in domain order, and each name's index.
-    _names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    _index: dict[str, int] = field(init=False, compare=False, repr=False)
+    _tensors: dict[str, Tensor] = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        if not self.atoms:
-            raise DimensionMismatchError("a model needs at least one domain atom")
-        names = tuple(a.name for a in self.atoms)
-        index = {name: i for i, name in enumerate(names)}
-        if len(index) != len(names):
-            raise DuplicateNameError(f"duplicate atom names in {list(names)}")
-        object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_index", index)
-        for i, atom in enumerate(self.atoms):
-            if atom.index != i:
-                raise DimensionMismatchError(
-                    f"atom {atom.name!r} has index {atom.index}, expected {i}"
-                )
-        n = len(self.atoms)
-        symbol_names = list(self.predicates) + list(self.relations)
-        seen: set[str] = set()
-        for name in symbol_names:
-            if name in seen or name in index:
-                raise DuplicateNameError(f"symbol name {name!r} is already declared")
-            seen.add(name)
-        for name, extension in self.predicates.items():
-            for idx in extension:
-                if not 0 <= idx < n:
-                    raise UnknownAtomError(f"index {idx} in predicate {name!r}")
-        for name, decl in self.relations.items():
-            if decl.arity < 1:
-                raise ArityError(f"relation {name!r} declared with arity {decl.arity}")
-            for tup in decl.tuples:
-                if len(tup) != decl.arity:
-                    raise ArityError(
-                        f"tuple {tup} in relation {name!r} has length {len(tup)}, "
-                        f"declared arity is {decl.arity}"
-                    )
-                for idx in tup:
-                    if not 0 <= idx < n:
-                        raise UnknownAtomError(f"index {idx} in relation {name!r}")
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Model with Model.from_names")
 
     @classmethod
     def from_names(
@@ -118,10 +75,14 @@ class Model:
         """Build a model from name-based extensions.
 
         ``relations`` maps each relation name to ``(arity, tuples)`` where
-        tuples contain atom names.
+        tuples contain atom names.  Names are resolved first, so an unknown
+        atom is reported before any other fault; then come an empty domain,
+        duplicate atoms, symbol clashes, and relation arities and tuple
+        lengths.  Every stored index comes from the name-to-index dict, so
+        each one is in range by construction.
         """
-        atoms = tuple(DomainAtom(name, i) for i, name in enumerate(atom_names))
-        index = {a.name: a.index for a in atoms}
+        names = tuple(atom_names)
+        index = {name: i for i, name in enumerate(names)}
         preds = {}
         for p, ext in (predicates or {}).items():
             try:
@@ -135,15 +96,34 @@ class Model:
             except KeyError as err:
                 raise UnknownAtomError(f"{err.args[0]!r} in relation {r!r}") from None
             rels[r] = RelationDecl(arity, resolved)
-        return cls(atoms, preds, rels)
+        if not names:
+            raise DimensionMismatchError("a model needs at least one domain atom")
+        if len(index) != len(names):
+            raise DuplicateNameError(f"duplicate atom names in {list(names)}")
+        seen = set(index)
+        for name in [*preds, *rels]:
+            if name in seen:
+                raise DuplicateNameError(f"symbol name {name!r} is already declared")
+            seen.add(name)
+        for name, decl in rels.items():
+            if decl.arity < 1:
+                raise ArityError(f"relation {name!r} declared with arity {decl.arity}")
+            for tup in decl.tuples:
+                if len(tup) != decl.arity:
+                    raise ArityError(
+                        f"tuple {tup} in relation {name!r} has length {len(tup)}, "
+                        f"declared arity is {decl.arity}"
+                    )
+        model = object.__new__(cls)
+        # ``__init__`` refuses every call, so the frozen fields are set directly.
+        vars(model).update(
+            atom_names=names, predicates=preds, relations=rels, _index=index, _tensors={}
+        )
+        return model
 
     @property
     def domain_size(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def atom_names(self) -> tuple[str, ...]:
-        return self._names
+        return len(self.atom_names)
 
     def atom_index(self, name: str) -> int:
         try:

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     ElementCapError,
-    NotSquareError,
     RankError,
 )
 
@@ -173,19 +172,6 @@ def elementwise_max(a: Tensor, b: Tensor) -> Tensor:
     """Pointwise maximum; on characteristic vectors this is set union."""
     _check_same_shape(a, b, "elementwise_max")
     return Tensor(np.maximum(a.array, b.array))
-
-
-def diag_extract(m: Tensor) -> Tensor:
-    """Diagonal of a square rank-2 tensor as a rank-1 tensor.
-
-    For diagonal matrices this equals contraction with the all-ones vector;
-    the direct read avoids the multiply-add round trip.
-    """
-    if m.rank != 2:
-        raise RankError(f"diag_extract requires rank 2, got rank {m.rank}")
-    if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"diag_extract requires a square matrix, got {m.shape}")
-    return Tensor(np.diagonal(m.array).copy())
 
 
 def diag_build(v: Tensor) -> Tensor:

@@ -115,6 +115,26 @@ class TestParseModel:
             m = random_model(rng, max_domain=5)
             assert parse_model(print_model(m)) == m
 
+    @pytest.mark.parametrize("name", ["a b", "all", "x-1", "_x"])
+    @pytest.mark.parametrize("where", ["atom", "predicate", "relation"])
+    def test_print_refuses_names_it_cannot_read_back(self, name, where):
+        m = Model.from_names(
+            ["z", name] if where == "atom" else ["z"],
+            {name: ["z"]} if where == "predicate" else {"q": ["z"]},
+            {name: (1, [("z",)])} if where == "relation" else {},
+        )
+        with pytest.raises(TensorLogicError) as info:
+            print_model(m)
+        assert str(info.value) == f"name {name!r} cannot be printed as model text"
+
+    def test_print_names_the_first_unreadable_name(self):
+        m = Model.from_names(["z", "a b"], {"x-1": ["z"]}, {"_x": (1, [])})
+        with pytest.raises(TensorLogicError, match="'a b'"):
+            print_model(m)
+        m = Model.from_names(["z"], {"x-1": ["z"], "all": []}, {"_x": (1, [])})
+        with pytest.raises(TensorLogicError, match="'all'"):
+            print_model(m)
+
     def test_round_trip_fixture_models(self):
         for text in (MATHEMATICIAN_TEXT, LOVES_TEXT, BROWN_DOG_TEXT, GREEK_TEXT):
             m = parse_model(text)

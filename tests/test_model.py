@@ -12,14 +12,13 @@ from tensorlogic.errors import (
     InvalidTruthValueError,
     NonCharacteristicError,
     NonOneHotError,
+    TensorLogicError,
     UnknownAtomError,
     UnknownPredicateError,
     UnknownRelationError,
 )
 from tensorlogic.model import (
-    DomainAtom,
     Model,
-    RelationDecl,
     TruthVec,
     decode_set,
     encode_atom,
@@ -41,7 +40,14 @@ class TestModelValidation:
         with pytest.raises(DuplicateNameError):
             Model.from_names(["a"], predicates={"a": []})
         with pytest.raises(DuplicateNameError):
-            Model((DomainAtom("a", 0),), {"p": frozenset()}, {"p": RelationDecl(2, frozenset())})
+            Model.from_names(["a"], predicates={"p": []}, relations={"p": (2, [])})
+
+    def test_from_names_is_the_only_constructor(self):
+        m = Model.from_names(["a"], predicates={"p": ["a"]})
+        with pytest.raises(TypeError):
+            Model(m.atom_names, m.predicates, m.relations)
+        with pytest.raises(TypeError):
+            Model()
 
     def test_unknown_atom_in_extension(self):
         with pytest.raises(UnknownAtomError):
@@ -69,6 +75,94 @@ class TestModelValidation:
             m.predicate_extension("zz")
         with pytest.raises(UnknownRelationError):
             m.relation_decl("zz")
+
+
+UNKNOWN_ATOM = 'unknown atom: "{}"'
+
+# Each row: from_names arguments, then the exact error class and message.
+# The two-fault rows fix which check wins.
+FROM_NAMES_ERRORS = {
+    "empty-domain": (([],), DimensionMismatchError, "a model needs at least one domain atom"),
+    "duplicate-atom": (
+        (["a", "b", "a"],),
+        DuplicateNameError,
+        "duplicate atom names in ['a', 'b', 'a']",
+    ),
+    "atom-symbol-clash": (
+        (["a"], {"a": []}), DuplicateNameError, "symbol name 'a' is already declared"
+    ),
+    "pred-rel-clash": (
+        (["a"], {"p": []}, {"p": (2, [])}),
+        DuplicateNameError,
+        "symbol name 'p' is already declared",
+    ),
+    "unknown-atom-in-pred": (
+        (["a"], {"p": ["a", "b"]}),
+        UnknownAtomError,
+        UNKNOWN_ATOM.format("'b' in predicate 'p'"),
+    ),
+    "unknown-atom-in-rel": (
+        (["a"], None, {"r": (2, [("a", "b")])}),
+        UnknownAtomError,
+        UNKNOWN_ATOM.format("'b' in relation 'r'"),
+    ),
+    "arity-0": ((["a"], None, {"r": (0, [])}), ArityError, "relation 'r' declared with arity 0"),
+    "short-tuple": (
+        (["a"], None, {"r": (2, [("a",)])}),
+        ArityError,
+        "tuple (0,) in relation 'r' has length 1, declared arity is 2",
+    ),
+    "unknown-atom-before-empty-domain": (
+        ([], {"p": ["a"]}),
+        UnknownAtomError,
+        UNKNOWN_ATOM.format("'a' in predicate 'p'"),
+    ),
+    "empty-domain-before-arity": (
+        ([], None, {"r": (0, [])}),
+        DimensionMismatchError,
+        "a model needs at least one domain atom",
+    ),
+    "duplicate-atom-before-clash": (
+        (["a", "a"], {"a": []}),
+        DuplicateNameError,
+        "duplicate atom names in ['a', 'a']",
+    ),
+    "clash-before-arity": (
+        (["a"], {"p": []}, {"p": (0, [])}),
+        DuplicateNameError,
+        "symbol name 'p' is already declared",
+    ),
+    "unknown-atom-before-arity": (
+        (["a"], None, {"r": (0, [("b",)])}),
+        UnknownAtomError,
+        UNKNOWN_ATOM.format("'b' in relation 'r'"),
+    ),
+    "pred-before-rel": (
+        (["a"], {"p": ["x"]}, {"r": (1, [("y",)])}),
+        UnknownAtomError,
+        UNKNOWN_ATOM.format("'x' in predicate 'p'"),
+    ),
+    "clashes-in-declaration-order": (
+        (["a", "b"], {"p": [], "b": []}, {"p": (1, [])}),
+        DuplicateNameError,
+        "symbol name 'b' is already declared",
+    ),
+    "relations-in-declaration-order": (
+        (["a"], None, {"r": (0, []), "s": (2, [("a",)])}),
+        ArityError,
+        "relation 'r' declared with arity 0",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "args, error, message", FROM_NAMES_ERRORS.values(), ids=FROM_NAMES_ERRORS.keys()
+)
+def test_from_names_error_table(args, error, message):
+    with pytest.raises(TensorLogicError) as info:
+        Model.from_names(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 class TestEncoding:

@@ -67,7 +67,15 @@ def bits(v: TruthVec) -> bytes:
 
 
 def fresh_copy(m: Model) -> Model:
-    copy = Model(m.atoms, m.predicates, m.relations)
+    names = m.atom_names
+    copy = Model.from_names(
+        names,
+        {p: [names[i] for i in ext] for p, ext in m.predicates.items()},
+        {
+            r: (decl.arity, [tuple(names[i] for i in tup) for tup in decl.tuples])
+            for r, decl in m.relations.items()
+        },
+    )
     assert copy == m and not copy._tensors
     return copy
 

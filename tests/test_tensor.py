@@ -6,7 +6,6 @@ they verify.
 """
 
 import itertools
-import random
 
 import numpy as np
 import pytest
@@ -16,14 +15,12 @@ from hypothesis import strategies as st
 from tensorlogic.errors import (
     DimensionMismatchError,
     ElementCapError,
-    NotSquareError,
     RankError,
 )
 from tensorlogic.tensor import (
     Tensor,
     contract,
     diag_build,
-    diag_extract,
     elementwise_max,
     elementwise_min,
     one_hot,
@@ -188,21 +185,6 @@ class TestElementwise:
 
 
 class TestDiagonal:
-    def test_extract_frozen_example(self):
-        m = Tensor([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert diag_extract(m) == Tensor([0, 1, 1])
-
-    def test_extract_identity(self):
-        assert diag_extract(Tensor(np.eye(4))) == ones(4)
-
-    def test_extract_agrees_with_ones_contraction_on_diagonals(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            n = rng.randint(1, 6)
-            d = np.array([rng.random() for _ in range(n)])
-            m = Tensor(np.diag(d))
-            assert diag_extract(m) == contract(m, ones(n))
-
     def test_build_frozen_example(self):
         assert diag_build(Tensor([0, 1, 1])) == Tensor([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -213,15 +195,7 @@ class TestDiagonal:
         rng = np.random.default_rng(23)
         for _ in range(20):
             v = Tensor(rng.normal(size=rng.integers(1, 8)))
-            assert diag_extract(diag_build(v)) == v
-
-    def test_not_square(self):
-        with pytest.raises(NotSquareError):
-            diag_extract(Tensor([[1, 2, 3], [4, 5, 6]]))
-
-    def test_extract_requires_rank_two(self):
-        with pytest.raises(RankError):
-            diag_extract(Tensor([1, 2]))
+            assert Tensor(np.diagonal(diag_build(v).array)) == v
 
 
 @given(st.integers(0, 4), st.integers(1, 5))

@@ -63,9 +63,9 @@ class TestBuildPredicate:
         for m in random_models(seed=101, count=200, max_domain=5):
             p = build_predicate(m, "p")
             extension = m.predicate_extension("p")
-            for atom in m.atoms:
-                result = apply_predicate(p, encode_atom(m, atom.name))
-                assert result.as_bool() is (atom.index in extension)
+            for i, atom in enumerate(m.atom_names):
+                result = apply_predicate(p, encode_atom(m, atom))
+                assert result.as_bool() is (i in extension)
 
     def test_validation_rejects_bad_columns(self):
         with pytest.raises(InvalidPredicateError):
@@ -133,9 +133,9 @@ class TestApply:
     def test_exhaustive_predicate_oracle_small_domains(self):
         for m in random_models(seed=303, count=60, max_domain=4):
             p = build_predicate(m, "p")
-            for atom in m.atoms:
-                expected = atom.index in m.predicate_extension("p")
-                assert apply_predicate(p, encode_atom(m, atom.name)).as_bool() is expected
+            for i, atom in enumerate(m.atom_names):
+                expected = i in m.predicate_extension("p")
+                assert apply_predicate(p, encode_atom(m, atom)).as_bool() is expected
 
     def test_crisp_mode_rejects_non_one_hot(self, mathematician_model):
         p = build_predicate(mathematician_model, "mathematician")
