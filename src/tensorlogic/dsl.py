@@ -678,8 +678,9 @@ def parse_formula(text: str, m: Model) -> Formula:
 # ---------------------------------------------------------------------------
 # Formula printing
 
-_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4}
+_PRECEDENCE = {Implies: 1, Or: 2, Union: 2, And: 3, Intersect: 3, Not: 4}
 _ATOM_PRECEDENCE = 5
+_SYMBOLS = {Implies: "->", Or: "|", Union: "|", And: "&", Intersect: "&"}
 
 
 def _precedence(f: Formula) -> int:
@@ -697,25 +698,8 @@ def _format_formula(f: Formula) -> str:
             if _precedence(body) < _PRECEDENCE[Not]:
                 inner = f"({inner})"
             return f"~{inner}"
-        case And(left, right) | Or(left, right):
-            op = "&" if isinstance(f, And) else "|"
-            prec = _PRECEDENCE[type(f)]
-            left_text = _format_formula(left)
-            if _precedence(left) < prec:
-                left_text = f"({left_text})"
-            right_text = _format_formula(right)
-            if _precedence(right) <= prec:
-                right_text = f"({right_text})"
-            return f"{left_text} {op} {right_text}"
-        case Implies(left, right):
-            prec = _PRECEDENCE[Implies]
-            left_text = _format_formula(left)
-            if _precedence(left) <= prec:
-                left_text = f"({left_text})"
-            right_text = _format_formula(right)
-            if _precedence(right) < prec:
-                right_text = f"({right_text})"
-            return f"{left_text} -> {right_text}"
+        case And(left, right) | Or(left, right) | Implies(left, right):
+            return _format_binary(f, _format_formula(left), _format_formula(right))
         case ForAll(subset, superset):
             return f"all {_format_set_arg(subset)} {_format_set_arg(superset)}"
         case Exists(body):
@@ -735,21 +719,23 @@ def _format_set_expr(e: SetExpr) -> str:
             return name
         case PartialRel(rel, bound):
             return f"{rel}({', '.join(bound + ('_',))})"
-        case Intersect(left, right):
-            left_text = _format_set_expr(left)
-            if isinstance(left, Union):
-                left_text = f"({left_text})"
-            right_text = _format_set_expr(right)
-            if isinstance(right, (Union, Intersect)):
-                right_text = f"({right_text})"
-            return f"{left_text} & {right_text}"
-        case Union(left, right):
-            left_text = _format_set_expr(left)
-            right_text = _format_set_expr(right)
-            if isinstance(right, Union):
-                right_text = f"({right_text})"
-            return f"{left_text} | {right_text}"
+        case Intersect(left, right) | Union(left, right):
+            return _format_binary(e, _format_set_expr(left), _format_set_expr(right))
     raise TypeError(f"not a set expression node: {e!r}")
+
+
+def _format_binary(f: Any, left_text: str, right_text: str) -> str:
+    """``&``, ``|`` or ``->`` between the printed operands of ``f``, with the
+    parentheses precedence needs.  ``->`` groups to the right and the others
+    to the left, so an operand of equal precedence on the other side is
+    parenthesized."""
+    prec = _PRECEDENCE[type(f)]
+    left_min, right_min = (prec + 1, prec) if isinstance(f, Implies) else (prec, prec + 1)
+    if _precedence(f.left) < left_min:
+        left_text = f"({left_text})"
+    if _precedence(f.right) < right_min:
+        right_text = f"({right_text})"
+    return f"{left_text} {_SYMBOLS[type(f)]} {right_text}"
 
 
 def print_formula(f: Formula) -> str:

@@ -32,17 +32,18 @@ class ElementCapError(TensorLogicError):
 
 
 class UnknownNameError(TensorLogicError):
-    """A name is not declared in the model (atom, predicate, or relation)."""
+    """A name is not declared in the model (atom, predicate, or relation);
+    ``where``, if given, says where it was used."""
 
-    def __init__(self, name: str, kind: str = "name"):
-        super().__init__(f"unknown {kind}: {name!r}")
+    def __init__(self, name: str, kind: str = "name", where: str = ""):
+        super().__init__(f"unknown {kind}: {name!r}" + (f" {where}" if where else ""))
         self.name = name
         self.kind = kind
 
 
 class UnknownAtomError(UnknownNameError):
-    def __init__(self, name: str):
-        super().__init__(name, "atom")
+    def __init__(self, name: str, where: str = ""):
+        super().__init__(name, "atom", where)
 
 
 class UnknownPredicateError(UnknownNameError):

@@ -14,11 +14,12 @@ plan holds a relation tensor of rank above 2.
 
 A set expression is a formula with one free variable: a (2, n) matrix of
 truth columns.  A predicate set is the ``pred:`` matrix its applications
-load (no plan loads an (n, n) diagonal), a partial application is its slice,
-and ``columnwise`` combines two with ``conn:and`` or ``conn:or``:
-out[a, j] = sum_bc C[a, b, c] L[c, j] R[b, j].  Each quantifier operand's
-true row is read once, so ``forall`` and ``exists`` are a plan's only
-non-linear steps.
+load (no plan loads an (n, n) diagonal), and a partial application is its
+slice.  Every binary connective, between formulas or between set
+expressions, is one ``columnwise`` step with its connective tensor:
+out[a, ...] = sum_bc C[a, b, c] L[c, ...] R[b, ...], where a formula's (2,)
+truth vector is a single column.  Each quantifier operand's true row is
+read once, so ``forall`` and ``exists`` are a plan's only non-linear steps.
 
 The tensors a plan loads depend on the model alone, not on the formula that
 applies them.  Each one is built on first use and kept on the model under
@@ -46,7 +47,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from .errors import (
 )
 from .model import Model, TruthVec, encode_atom
 from .sets import _TRUE_ROW_PROBE, SetVector, exists, forall
-from .tensor import DEFAULT_ELEMENT_CAP, Tensor
+from .tensor import DEFAULT_ELEMENT_CAP, Tensor, _contract_arrays
 from .truth import build_predicate, build_relation_slice, connective_tensor
 
 
@@ -103,6 +104,12 @@ class ContractionPlan:
         return "\n".join(lines)
 
 
+#: The connective tensor of each binary node, in both calculi.
+_CONNECTIVES = {
+    dsl.And: "and", dsl.Intersect: "and", dsl.Or: "or", dsl.Union: "or", dsl.Implies: "implies"
+}
+
+
 class _PlanBuilder:
     def __init__(self, m: Model, cap: int):
         self.model = m
@@ -144,9 +151,10 @@ class _PlanBuilder:
     def load_connective(self, kind: str) -> int:
         return self.load_constant(f"conn:{kind}", connective_tensor(kind).tensor)
 
-    def columnwise(self, kind: str, a: int, b: int) -> int:
-        """Combine two (2, n) set matrices column by column with ``conn:kind``."""
-        t = self.load_connective(kind)
+    def columnwise(self, node: Any, a: int, b: int) -> int:
+        """One step combining registers ``a`` and ``b``, the lowered operands
+        of binary ``node``, column by column with its connective tensor."""
+        t = self.load_connective(_CONNECTIVES[type(node)])
         return self.emit("columnwise", (t, a, b), self.shapes[a])
 
     def load_predicate(self, pred: str) -> int:
@@ -179,11 +187,8 @@ class _PlanBuilder:
             case dsl.Not(body):
                 b = self.lower_formula(body)
                 return self.contract(self.load_connective("not"), b)
-            case dsl.And() | dsl.Or() | dsl.Implies():
-                kind = {dsl.And: "and", dsl.Or: "or", dsl.Implies: "implies"}[type(f)]
-                left = self.lower_formula(f.left)
-                right = self.lower_formula(f.right)
-                return self.contract(self.contract(self.load_connective(kind), left), right)
+            case dsl.And(left, right) | dsl.Or(left, right) | dsl.Implies(left, right):
+                return self.columnwise(f, self.lower_formula(left), self.lower_formula(right))
             case dsl.ForAll(subset, superset):
                 x, y = self.lower_operand(subset), self.lower_operand(superset)
                 return self.emit("forall", (x, y), (2,))
@@ -204,10 +209,8 @@ class _PlanBuilder:
                 return self.load_predicate(name)
             case dsl.PartialRel(rel, bound):
                 return self.load_slice(rel, bound)
-            case dsl.Intersect(left, right):
-                return self.columnwise("and", self.lower_set(left), self.lower_set(right))
-            case dsl.Union(left, right):
-                return self.columnwise("or", self.lower_set(left), self.lower_set(right))
+            case dsl.Intersect(left, right) | dsl.Union(left, right):
+                return self.columnwise(e, self.lower_set(left), self.lower_set(right))
         raise TypeError(f"not a set expression node: {e!r}")
 
 
@@ -231,10 +234,11 @@ def execute(plan: ContractionPlan) -> TruthVec:
     """Run a plan's steps over a register file and return the truth vector.
 
     Registers hold plain ndarrays: the payloads' own read-only arrays and the
-    fresh outputs of ``columnwise`` and of ``contract``, computed exactly as
-    :func:`tensorlogic.tensor.contract` computes it.  Shapes were checked at
-    compile time; the quantifiers still check that their operands are
-    characteristic vectors, and the result that it is a truth vector.
+    fresh outputs of ``columnwise`` (one einsum for every binary connective)
+    and of ``contract`` (the kernel of :func:`tensorlogic.tensor.contract`).
+    Shapes were checked at compile time; the quantifiers still check that
+    their operands are characteristic vectors, and the result that it is a
+    truth vector.
     """
     registers: list[np.ndarray | None] = [None] * plan.register_count
     for instr in plan.steps:
@@ -242,15 +246,11 @@ def execute(plan: ContractionPlan) -> TruthVec:
             case "load":
                 value = instr.payload.array
             case "contract":
-                # np.tensordot's own reshape-dot-reshape, minus its argument
-                # handling: bitwise the result of tensor.contract.
-                left, right = registers[instr.srcs[0]], registers[instr.srcs[1]]
-                k = right.shape[0]
-                value = np.dot(left.reshape(-1, k), right.reshape(k, -1))
-                value = value.reshape(plan.register_shapes[instr.dest])
+                a, b = instr.srcs
+                value = _contract_arrays(registers[a], registers[b], plan.register_shapes[instr.dest])
             case "columnwise":
-                conn, left, right = (registers[s] for s in instr.srcs)
-                value = np.einsum("abc,cj,bj->aj", conn, left, right)
+                c, a, b = instr.srcs
+                value = np.einsum("abc,c...,b...->a...", registers[c], registers[a], registers[b])
             case "forall":
                 x, y = (SetVector(Tensor._wrap(registers[s])) for s in instr.srcs)
                 value = forall(x, y).to_tensor().array

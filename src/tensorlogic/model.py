@@ -88,13 +88,13 @@ class Model:
             try:
                 preds[p] = frozenset([index[a] for a in ext])
             except KeyError as err:
-                raise UnknownAtomError(f"{err.args[0]!r} in predicate {p!r}") from None
+                raise UnknownAtomError(err.args[0], f"in predicate {p!r}") from None
         rels = {}
         for r, (arity, tuples) in (relations or {}).items():
             try:
                 resolved = frozenset([tuple([index[a] for a in tup]) for tup in tuples])
             except KeyError as err:
-                raise UnknownAtomError(f"{err.args[0]!r} in relation {r!r}") from None
+                raise UnknownAtomError(err.args[0], f"in relation {r!r}") from None
             rels[r] = RelationDecl(arity, resolved)
         if not names:
             raise DimensionMismatchError("a model needs at least one domain atom")
@@ -111,8 +111,8 @@ class Model:
             for tup in decl.tuples:
                 if len(tup) != decl.arity:
                     raise ArityError(
-                        f"tuple {tup} in relation {name!r} has length {len(tup)}, "
-                        f"declared arity is {decl.arity}"
+                        f"tuple {tuple(names[i] for i in tup)} in relation {name!r} "
+                        f"has length {len(tup)}, declared arity is {decl.arity}"
                     )
         model = object.__new__(cls)
         # ``__init__`` refuses every call, so the frozen fields are set directly.

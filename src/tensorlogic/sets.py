@@ -107,7 +107,7 @@ def build_set_predicate(m: Model, name: str) -> SetPredicateMatrix:
     """Diagonal predicate matrix for a declared predicate."""
     diag = np.zeros(m.domain_size)
     diag.put(list(m.predicate_extension(name)), 1.0)
-    return SetPredicateMatrix(Tensor._wrap(np.diag(diag)), validate=False)
+    return SetPredicateMatrix(diag_build(Tensor._wrap(diag)), validate=False)
 
 
 def apply_set_predicate(p: SetPredicateMatrix, x: SetVector) -> SetVector:

@@ -13,6 +13,8 @@ to a sparse or chunked representation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -133,6 +135,14 @@ def one_hot(index: int, size: int) -> Tensor:
     return Tensor(v)
 
 
+def _contract_arrays(left: np.ndarray, right: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The one contraction kernel: ``left``'s rightmost index with ``right``'s
+    leftmost, as one ``np.dot`` of the ``(-1, k)`` and ``(k, -1)`` reshapes,
+    reshaped to the result's ``shape``, which the caller already knows."""
+    k = right.shape[0]
+    return np.dot(left.reshape(-1, k), right.reshape(k, -1)).reshape(shape)
+
+
 def contract(left: Tensor, right: Tensor) -> Tensor:
     """Contract the rightmost index of ``left`` with the leftmost of ``right``.
 
@@ -141,7 +151,8 @@ def contract(left: Tensor, right: Tensor) -> Tensor:
         result[i..., j...] = sum_s left[i..., s] * right[s, j...]
 
     When both operands are rank 1 the reduction would be rank 0; the scalar is
-    returned as a rank-1 tensor of dimension 1 instead.
+    returned as a rank-1 tensor of dimension 1 instead.  The element cap is
+    checked on the result's shape before anything is computed.
     """
     k_dim = left.shape[-1]
     m_dim = right.shape[0]
@@ -149,12 +160,9 @@ def contract(left: Tensor, right: Tensor) -> Tensor:
         raise DimensionMismatchError(
             f"cannot contract: left rightmost dimension {k_dim} != right leftmost dimension {m_dim}"
         )
-    out = np.tensordot(left.array, right.array, axes=([left.rank - 1], [0]))
-    if out.ndim == 0:
-        out = out.reshape(1)
-    result = Tensor(out)
-    assert result.rank == max(left.rank + right.rank - 2, 1)
-    return result
+    shape = left.shape[:-1] + right.shape[1:] or (1,)
+    ElementCapError.check("Tensor construction", math.prod(shape), DEFAULT_ELEMENT_CAP)
+    return Tensor._wrap(_contract_arrays(left.array, right.array, shape))
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -178,4 +186,5 @@ def diag_build(v: Tensor) -> Tensor:
     """Square rank-2 tensor with ``v`` on the diagonal, zeros elsewhere."""
     if v.rank != 1:
         raise RankError(f"diag_build requires rank 1, got rank {v.rank}")
-    return Tensor(np.diag(v.array))
+    ElementCapError.check("Tensor construction", v.size * v.size, DEFAULT_ELEMENT_CAP)
+    return Tensor._wrap(np.diag(v.array))

@@ -266,11 +266,31 @@ class TestPrintFormula:
             "all (brown & dog) brown",
             "exists (brown | dog)",
             "exists (brown & dog & dog)",
+            "exists (brown & (dog | brown))",
+            "exists (brown | dog & brown)",
+            "exists ((brown | dog) & brown)",
+            "exists (brown & (dog & brown))",
+            "exists (brown | (dog | brown))",
+            "all (brown | dog) (dog & (brown | dog))",
         ]
         for text in cases:
             f = parse_formula(text, brown_dog_model)
             assert print_formula(f) == text
             assert parse_formula(print_formula(f), brown_dog_model) == f
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Intersect(PredSet("brown"), PredSet("dog")),
+            Not(Union(PredSet("brown"), PredSet("dog"))),
+            Exists(And(Atom("brown", "a"), Atom("dog", "a"))),
+            ForAll(PredSet("dog"), Union(PredSet("brown"), Or(Atom("dog", "a"), Atom("dog", "b")))),
+        ],
+        ids=["set-as-formula", "set-under-not", "formula-as-set", "formula-under-union"],
+    )
+    def test_a_node_of_the_other_sort_is_a_type_error(self, f):
+        with pytest.raises(TypeError):
+            print_formula(f)
 
     def test_round_trip_1000_random_formulas(self):
         rng = random.Random(73)
@@ -542,6 +562,26 @@ class TestDepthLimit:
                      lambda: oracle_eval(Exists(e), m), lambda: print_formula(Exists(e))):
             with pytest.raises(FormulaDepthError):
                 call()
+
+    # Printing, compiling and the oracle each recurse once per level, so an
+    # AST one of them takes is not too deep for the others.
+    @pytest.mark.parametrize(
+        "leaf, combine, root",
+        [
+            (Atom("p", "a"), lambda f: And(f, Atom("p", "a")), lambda f: f),
+            (Atom("p", "a"), lambda f: Implies(Atom("p", "a"), f), lambda f: f),
+            (PredSet("p"), lambda e: Union(PredSet("p"), e), Exists),
+        ],
+        ids=["left-nested-and", "right-nested-implies", "right-nested-union"],
+    )
+    def test_every_path_takes_an_ast_700_deep(self, leaf, combine, root):
+        m = parse_model(ONE_ATOM_TEXT)
+        node = leaf
+        for _ in range(700):
+            node = combine(node)
+        f = root(node)
+        assert evaluate(f, m).as_bool() is oracle_eval(f, m) is True
+        assert print_formula(f).count("p") == 701
 
     def test_depth_counts_connectives_and_parentheses_together(self):
         m = parse_model(ONE_ATOM_TEXT)

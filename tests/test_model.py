@@ -77,8 +77,6 @@ class TestModelValidation:
             m.relation_decl("zz")
 
 
-UNKNOWN_ATOM = 'unknown atom: "{}"'
-
 # Each row: from_names arguments, then the exact error class and message.
 # The two-fault rows fix which check wins.
 FROM_NAMES_ERRORS = {
@@ -99,23 +97,23 @@ FROM_NAMES_ERRORS = {
     "unknown-atom-in-pred": (
         (["a"], {"p": ["a", "b"]}),
         UnknownAtomError,
-        UNKNOWN_ATOM.format("'b' in predicate 'p'"),
+        "unknown atom: 'b' in predicate 'p'",
     ),
     "unknown-atom-in-rel": (
         (["a"], None, {"r": (2, [("a", "b")])}),
         UnknownAtomError,
-        UNKNOWN_ATOM.format("'b' in relation 'r'"),
+        "unknown atom: 'b' in relation 'r'",
     ),
     "arity-0": ((["a"], None, {"r": (0, [])}), ArityError, "relation 'r' declared with arity 0"),
     "short-tuple": (
         (["a"], None, {"r": (2, [("a",)])}),
         ArityError,
-        "tuple (0,) in relation 'r' has length 1, declared arity is 2",
+        "tuple ('a',) in relation 'r' has length 1, declared arity is 2",
     ),
     "unknown-atom-before-empty-domain": (
         ([], {"p": ["a"]}),
         UnknownAtomError,
-        UNKNOWN_ATOM.format("'a' in predicate 'p'"),
+        "unknown atom: 'a' in predicate 'p'",
     ),
     "empty-domain-before-arity": (
         ([], None, {"r": (0, [])}),
@@ -135,12 +133,12 @@ FROM_NAMES_ERRORS = {
     "unknown-atom-before-arity": (
         (["a"], None, {"r": (0, [("b",)])}),
         UnknownAtomError,
-        UNKNOWN_ATOM.format("'b' in relation 'r'"),
+        "unknown atom: 'b' in relation 'r'",
     ),
     "pred-before-rel": (
         (["a"], {"p": ["x"]}, {"r": (1, [("y",)])}),
         UnknownAtomError,
-        UNKNOWN_ATOM.format("'x' in predicate 'p'"),
+        "unknown atom: 'x' in predicate 'p'",
     ),
     "clashes-in-declaration-order": (
         (["a", "b"], {"p": [], "b": []}, {"p": (1, [])}),
@@ -163,6 +161,8 @@ def test_from_names_error_table(args, error, message):
         Model.from_names(*args)
     assert type(info.value) is error
     assert str(info.value) == message
+    if error is UnknownAtomError:
+        assert message.startswith(f"unknown atom: {info.value.name!r} in ")
 
 
 class TestEncoding:

@@ -6,6 +6,7 @@ check that path against a freshly built model, against a reference executor
 that goes through the public ``Tensor`` operations, and against the oracle.
 """
 
+import dataclasses
 import random
 import sys
 import threading
@@ -16,10 +17,13 @@ import pytest
 
 from tensorlogic.cli import main
 from tensorlogic.dsl import (
+    And,
     Atom,
     Exists,
     ForAll,
+    Implies,
     Intersect,
+    Or,
     PredSet,
     RelAtom,
     Union,
@@ -45,6 +49,9 @@ def reference_execute(plan):
                 value = instr.payload
             case "contract":
                 value = contract(*srcs)
+            case "columnwise" if srcs[1].rank == 1:
+                conn, left, right = srcs
+                value = contract(contract(conn, left), right)
             case "columnwise":
                 conn, left, right = srcs
                 columns = [
@@ -104,9 +111,20 @@ def test_warm_memo_matches_fresh_model_reference_and_oracle():
     assert warm_loads > 0
 
 
+def binary_connectives(node) -> int:
+    """How many ``&``, ``|`` and ``->`` nodes the AST under ``node`` holds."""
+    own = isinstance(node, (And, Or, Implies, Intersect, Union))
+    return own + sum(
+        binary_connectives(child)
+        for child in vars(node).values()
+        if dataclasses.is_dataclass(child)
+    )
+
+
 def test_plans_use_five_ops_and_one_probe_per_quantifier_operand():
     rng = random.Random(2027)
     operands = {"forall": 2, "exists": 1}
+    binary = {"conn:and", "conn:or", "conn:implies"}
     for _ in range(400):
         m = random_model(rng, max_domain=4)
         f = random_formula(rng, m, max_depth=4)
@@ -115,7 +133,27 @@ def test_plans_use_five_ops_and_one_probe_per_quantifier_operand():
         assert set(ops) <= {"load", "contract", "columnwise", "forall", "exists"}
         probes = sum(instr.note == "true-row-probe" for instr in plan.steps)
         assert probes == sum(operands.get(op, 0) for op in ops)
+        assert ops.count("columnwise") == binary_connectives(f)
+        connectives = {instr.dest for instr in plan.steps if instr.note in binary}
+        for instr in plan.steps:
+            assert instr.op != "contract" or connectives.isdisjoint(instr.srcs)
         assert bits(execute(plan)) == bits(reference_execute(plan))
+
+
+def test_describe_of_a_conjunction():
+    m = Model.from_names(["a", "b"], {"p": ["a"], "q": ["b"]})
+    plan = compile_formula(parse_formula("p(a) & q(b)", m), m)
+    assert plan.describe().splitlines() == [
+        "r0 <- load pred:p  shape (2, 2)",
+        "r1 <- load atom:a  shape (2,)",
+        "r2 <- contract r0 r1  shape (2,)",
+        "r3 <- load pred:q  shape (2, 2)",
+        "r4 <- load atom:b  shape (2,)",
+        "r5 <- contract r3 r4  shape (2,)",
+        "r6 <- load conn:and  shape (2, 2, 2)",
+        "r7 <- columnwise r6 r2 r5  shape (2,)",
+        "result: r7",
+    ]
 
 
 def test_describe_of_an_intersection():
@@ -143,33 +181,60 @@ def executed_column(plan: ContractionPlan, reg: int, m: Model, j: int) -> TruthV
     return execute(ContractionPlan(plan.steps[:k] + (atom, read), k + 1, shapes))
 
 
+def columnwise_step(plan: ContractionPlan, kind: str) -> Instr:
+    """The plan's one ``columnwise`` step, checked to read ``conn:kind``."""
+    (step,) = (instr for instr in plan.steps if instr.op == "columnwise")
+    assert plan.steps[step.srcs[0]].note == f"conn:{kind}"
+    return step
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 40])
 @pytest.mark.parametrize(
-    "kind, node, setop", [("and", Intersect, np.minimum), ("or", Union, np.maximum)]
+    "kind, node, setop",
+    [
+        ("and", Intersect, np.minimum),
+        ("or", Union, np.maximum),
+        ("and", And, None),
+        ("or", Or, None),
+        ("implies", Implies, None),
+    ],
 )
 def test_columnwise_is_the_connective_at_every_column(n, kind, node, setop):
+    """Column j of a set combination, and a formula connective between the
+    (2,) registers of two applications to atom j, are both the connective
+    of the operands' columns j."""
     rng = random.Random(n)
     names = [f"a{i}" for i in range(n)]
+    pairs = set()
     for _ in range(10):
         m = Model.from_names(
             names, {s: [a for a in names if rng.random() < 0.5] for s in ("p", "q")}
         )
-        plan = compile_formula(Exists(node(PredSet("p"), PredSet("q"))), m)
-        (step,) = (instr for instr in plan.steps if instr.op == "columnwise")
-        conn, left, right = (plan.steps[s] for s in step.srcs)
-        assert (conn.note, left.note, right.note) == (f"conn:{kind}", "pred:p", "pred:q")
-        left, right = left.payload.array, right.payload.array
-        true_row = []
-        for j in range(n):
-            column = executed_column(plan, step.dest, m, j)
+        if setop is None:
+            columns = []
+            for name in names:
+                plan = compile_formula(node(Atom("p", name), Atom("q", name)), m)
+                step = columnwise_step(plan, kind)
+                assert step.dest == plan.result
+                columns.append(execute(plan))
+        else:
+            plan = compile_formula(Exists(node(PredSet("p"), PredSet("q"))), m)
+            step = columnwise_step(plan, kind)
+            assert [plan.steps[s].note for s in step.srcs[1:]] == ["pred:p", "pred:q"]
+            columns = [executed_column(plan, step.dest, m, j) for j in range(n)]
+        left, right = m._tensors["pred:p"].array, m._tensors["pred:q"].array
+        for j, column in enumerate(columns):
             expected = connective_binary(
                 kind,
                 TruthVec.from_tensor(Tensor(left[:, j])),
                 TruthVec.from_tensor(Tensor(right[:, j])),
             )
             assert bits(column) == bits(expected)
-            true_row.append(column.t)
-        assert np.array(true_row).tobytes() == setop(left[0], right[0]).tobytes()
+            pairs.add((left[0, j], right[0, j]))
+        if setop is not None:
+            true_row = np.array([column.t for column in columns])
+            assert true_row.tobytes() == setop(left[0], right[0]).tobytes()
+    assert n < 5 or len(pairs) == 4
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ they verify.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from tensorlogic.errors import (
     ElementCapError,
     RankError,
 )
+from tensorlogic.model import Model
+from tensorlogic.sets import build_set_predicate
 from tensorlogic.tensor import (
+    DEFAULT_ELEMENT_CAP,
     Tensor,
     contract,
     diag_build,
@@ -146,6 +150,49 @@ class TestContract:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             contract(Tensor([[1, 2]]), Tensor([1, 2, 3]))
+
+    def test_matches_tensordot_bitwise(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            k = int(rng.integers(1, 5))
+            left_shape = tuple(rng.integers(1, 5, size=rng.integers(0, 4))) + (k,)
+            right_shape = (k,) + tuple(rng.integers(1, 5, size=rng.integers(0, 4)))
+            left, right = rng.normal(size=left_shape), rng.normal(size=right_shape)
+            expected = np.tensordot(left, right, axes=([left.ndim - 1], [0]))
+            result = contract(Tensor(left), Tensor(right)).array
+            assert result.shape == (expected.shape or (1,))
+            assert result.tobytes() == expected.tobytes()
+
+
+# Each result has 4000 x 4000 = 16 million elements, above the default cap:
+# 128 MB that must never be allocated.
+WIDE = 4000
+CAP_BEFORE_ALLOCATION = {
+    "contract": lambda: (contract, Tensor(np.ones((WIDE, 1))), Tensor(np.ones((1, WIDE)))),
+    "diag_build": lambda: (diag_build, ones(WIDE)),
+    "build_set_predicate": lambda: (
+        build_set_predicate,
+        Model.from_names([f"a{i}" for i in range(WIDE)], {"p": ["a0"]}),
+        "p",
+    ),
+}
+
+
+@pytest.mark.parametrize("setup", CAP_BEFORE_ALLOCATION.values(), ids=CAP_BEFORE_ALLOCATION.keys())
+def test_cap_is_checked_before_allocation(setup):
+    function, *args = setup()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ElementCapError) as info:
+            function(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        f"Tensor construction needs a tensor of {WIDE * WIDE} elements, "
+        f"above the cap of {DEFAULT_ELEMENT_CAP}"
+    )
+    assert peak < 2**20
 
 
 def all_bit_vectors(length):
