@@ -9,14 +9,7 @@ independent set-theoretic oracle that never touches a tensor.
 
 from .errors import TensorLogicError
 from .model import Model, TruthVec, decode_set, encode_atom, encode_set, truth_bot, truth_top
-from .tensor import (
-    DEFAULT_ELEMENT_CAP,
-    Tensor,
-    contract,
-    diag_build,
-    elementwise_max,
-    elementwise_min,
-)
+from .tensor import DEFAULT_ELEMENT_CAP, Tensor, contract, diag_build
 from .truth import (
     Connective,
     PredicateMatrix,
@@ -80,8 +73,6 @@ __all__ = [
     "convert_truth_to_set",
     "decode_set",
     "diag_build",
-    "elementwise_max",
-    "elementwise_min",
     "encode_atom",
     "encode_set",
     "equivalence_sweep",

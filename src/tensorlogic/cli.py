@@ -245,6 +245,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def element_cap(text: str) -> int:
+    """A ``--cap`` at or below ``DEFAULT_ELEMENT_CAP``: the flag only ever
+    lowers the element cap, so a larger one is a usage error, not a build
+    that stops at the default cap partway."""
+    value = positive_int(text)
+    if value > DEFAULT_ELEMENT_CAP:
+        raise argparse.ArgumentTypeError(f"must be <= {DEFAULT_ELEMENT_CAP}, got {value}")
+    return value
+
+
 def sweep_domain(text: str) -> int:
     """A ``--max-domain`` at which every generated model fits the element cap.
 
@@ -287,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--formula", help="formula text")
     source.add_argument("--formula-file", help="path to a formula file")
     eval_parser.add_argument("--output", choices=["pretty", "records"], default="pretty")
-    eval_parser.add_argument("--cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
+    eval_parser.add_argument("--cap", type=element_cap, default=DEFAULT_ELEMENT_CAP)
     eval_parser.set_defaults(handler=_cmd_eval)
 
     table_parser = sub.add_parser("truth-table", help="print a connective tensor and its table")
@@ -301,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     show_parser.add_argument("--model", required=True)
     show_parser.add_argument("name")
     show_parser.add_argument("--output", choices=["pretty", "records"], default="pretty")
-    show_parser.add_argument("--cap", type=positive_int, default=DEFAULT_ELEMENT_CAP)
+    show_parser.add_argument("--cap", type=element_cap, default=DEFAULT_ELEMENT_CAP)
     show_parser.set_defaults(handler=_cmd_show)
 
     sweep_parser = sub.add_parser("sweep", help="run the tensor-versus-oracle equivalence sweep")

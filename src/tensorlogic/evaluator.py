@@ -29,9 +29,9 @@ prefix, so its slices in that memo never hold more than the 2 n^k elements
 of its dense tensor.  Every load is checked against the element cap before
 the memo is read, and the dimension preconditions of every step are checked
 at compile time from the model's domain size.  :func:`execute` therefore
-runs the steps directly on the payloads' read-only ndarrays; it wraps only
-the quantifiers' operands, which are still checked to be characteristic
-vectors, and the result.
+runs the steps directly on the payloads' read-only ndarrays and wraps only
+the result; a quantifier step runs the set-vector check and the decision
+kernel of :mod:`tensorlogic.sets` straight on its operand registers.
 
 :func:`oracle_eval` is the independent referee: it evaluates the same bound
 AST directly over the model's sets with classical connective semantics and
@@ -58,8 +58,8 @@ from .errors import (
     FormulaDepthError,
     PlanTooLargeError,
 )
-from .model import Model, TruthVec, encode_atom
-from .sets import _TRUE_ROW_PROBE, SetVector, exists, forall
+from .model import Model, TruthVec, _set_bits, encode_atom, truth_bot, truth_top
+from .sets import _TRUE_ROW_PROBE, _nonempty, _operands, _subset
 from .tensor import DEFAULT_ELEMENT_CAP, Tensor, _contract_arrays
 from .truth import build_predicate, build_relation_slice, connective_tensor
 
@@ -230,15 +230,19 @@ def compile_formula(
     return ContractionPlan(tuple(builder.steps), result, tuple(builder.shapes))
 
 
+#: A quantifier step's output, indexed by its decision: false, then true.
+_VERDICTS = (truth_bot().to_tensor().array, truth_top().to_tensor().array)
+
+
 def execute(plan: ContractionPlan) -> TruthVec:
     """Run a plan's steps over a register file and return the truth vector.
 
-    Registers hold plain ndarrays: the payloads' own read-only arrays and the
+    Registers hold plain ndarrays: the payloads' own read-only arrays, the
     fresh outputs of ``columnwise`` (one einsum for every binary connective)
-    and of ``contract`` (the kernel of :func:`tensorlogic.tensor.contract`).
-    Shapes were checked at compile time; the quantifiers still check that
-    their operands are characteristic vectors, and the result that it is a
-    truth vector.
+    and of ``contract`` (the kernel of :func:`tensorlogic.tensor.contract`),
+    and a quantifier's read-only verdict.  Shapes were checked at compile
+    time; a quantifier still checks that its operands are characteristic
+    vectors, and the result that it is a truth vector.
     """
     registers: list[np.ndarray | None] = [None] * plan.register_count
     for instr in plan.steps:
@@ -252,10 +256,10 @@ def execute(plan: ContractionPlan) -> TruthVec:
                 c, a, b = instr.srcs
                 value = np.einsum("abc,c...,b...->a...", registers[c], registers[a], registers[b])
             case "forall":
-                x, y = (SetVector(Tensor._wrap(registers[s])) for s in instr.srcs)
-                value = forall(x, y).to_tensor().array
+                x, y = (_set_bits(registers[s]) for s in instr.srcs)
+                value = _VERDICTS[_subset(*_operands("forall", x, y))]
             case "exists":
-                value = exists(SetVector(Tensor._wrap(registers[instr.srcs[0]]))).to_tensor().array
+                value = _VERDICTS[_nonempty(_set_bits(registers[instr.srcs[0]]))]
             case _:
                 raise ValueError(f"unknown plan instruction {instr.op!r}")
         registers[instr.dest] = value

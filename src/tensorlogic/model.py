@@ -167,7 +167,17 @@ def encode_set(m: Model, atom_names: Iterable[str]) -> Tensor:
     v = np.zeros(m.domain_size)
     for name in atom_names:
         v[m.atom_index(name)] = 1.0
-    return Tensor(v)
+    return Tensor._wrap(v)
+
+
+def _set_bits(arr: np.ndarray) -> np.ndarray:
+    """``arr`` snapped to exact 0/1 by the one snap in :mod:`tensorlogic.tensor`,
+    or :class:`NonCharacteristicError` if it does not denote a set: the one
+    check of the 0/1 invariant of a set vector."""
+    bits = _snap01(arr)
+    if bits is None:
+        raise NonCharacteristicError(f"set vector entries must be 0 or 1, got {arr.tolist()}")
+    return bits
 
 
 def decode_set(m: Model, v: Tensor) -> frozenset[str]:
@@ -181,10 +191,7 @@ def decode_set(m: Model, v: Tensor) -> frozenset[str]:
         raise DimensionMismatchError(
             f"expected a vector of length {m.domain_size}, got shape {v.shape}"
         )
-    bits = _snap01(v.array)
-    if bits is None:
-        raise NonCharacteristicError(f"set vector entries must be 0 or 1, got {v.tolist()}")
-    return frozenset(compress(m.atom_names, bits.tolist()))
+    return frozenset(compress(m.atom_names, _set_bits(v.array).tolist()))
 
 
 @dataclass(frozen=True)

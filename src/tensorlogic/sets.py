@@ -12,7 +12,9 @@ quantifier its true row: the diagonal times the all-ones vector.
 
 ``forall`` and ``exists`` are decision procedures over characteristic
 vectors, not multilinear maps: scaling a zero vector changes nothing about
-the decision, so no tensor can represent them.  :func:`nonlinearity_witness_forall`
+the decision, so no tensor can represent them.  Each is one kernel on 0/1
+arrays, ``_subset`` or ``_nonempty``, run by :func:`forall`/:func:`exists`
+and by a compiled plan's quantifier steps alike.  :func:`nonlinearity_witness_forall`
 and :func:`nonlinearity_witness_exists` reproduce that argument numerically.
 
 The two predicate formulations carry the same information.  Selecting the
@@ -28,22 +30,9 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidPredicateError,
-    NonCharacteristicError,
-)
-from .model import Model, TruthVec, decode_set, truth_bot, truth_top
-from .tensor import (
-    FLOAT_TOL,
-    Tensor,
-    _snap01,
-    contract,
-    diag_build,
-    elementwise_max,
-    elementwise_min,
-    ones,
-)
+from .errors import DimensionMismatchError, InvalidPredicateError
+from .model import Model, TruthVec, _set_bits, decode_set, truth_bot, truth_top
+from .tensor import FLOAT_TOL, Tensor, contract, diag_build, ones
 from .truth import PredicateMatrix, _truth_tensor
 
 
@@ -52,10 +41,10 @@ class SetVector:
     """A 0/1 characteristic vector over the domain space.
 
     Entries within ``FLOAT_TOL`` of 0 or 1 are snapped to exact values at
-    construction by the one snap in :mod:`tensorlogic.tensor`, so downstream
-    set comparisons are exact integer comparisons.  Anything else, NaN
-    included, is rejected: quantifiers have no defined semantics off the
-    0/1 grid.
+    construction by the one set-vector check, ``model._set_bits``, so
+    downstream set comparisons are exact integer comparisons.  Anything
+    else, NaN included, is rejected: quantifiers have no defined semantics
+    off the 0/1 grid.
     """
 
     tensor: Tensor
@@ -63,12 +52,7 @@ class SetVector:
     def __post_init__(self):
         if self.tensor.rank != 1:
             raise DimensionMismatchError(f"a set vector has rank 1, got {self.tensor.shape}")
-        bits = _snap01(self.tensor.array)
-        if bits is None:
-            raise NonCharacteristicError(
-                f"set vector entries must be 0 or 1, got {self.tensor.tolist()}"
-            )
-        object.__setattr__(self, "tensor", Tensor._wrap(bits))
+        object.__setattr__(self, "tensor", Tensor._wrap(_set_bits(self.tensor.array)))
 
     @property
     def domain_size(self) -> int:
@@ -129,37 +113,51 @@ def predicate_vector(p: SetPredicateMatrix) -> SetVector:
     return SetVector(contract(p.tensor, ones(p.domain_size)))
 
 
+def _operands(op: str, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y``, the arrays of two set vectors, which ``op`` needs of
+    equal length."""
+    if len(x) != len(y):
+        raise DimensionMismatchError(f"{op} requires equal lengths, got {len(x)} and {len(y)}")
+    return x, y
+
+
 def intersect(a: SetVector, b: SetVector) -> SetVector:
     """Set intersection as pointwise minimum."""
-    return SetVector(elementwise_min(a.tensor, b.tensor))
+    x, y = _operands("intersect", a.tensor.array, b.tensor.array)
+    return SetVector(Tensor._wrap(np.minimum(x, y)))
 
 
 def union(a: SetVector, b: SetVector) -> SetVector:
     """Set union as pointwise maximum."""
-    return SetVector(elementwise_max(a.tensor, b.tensor))
+    x, y = _operands("union", a.tensor.array, b.tensor.array)
+    return SetVector(Tensor._wrap(np.maximum(x, y)))
+
+
+def _subset(x: np.ndarray, y: np.ndarray) -> bool:
+    """The subset decision on snapped 0/1 arrays: no entry is 1 in ``x`` and
+    0 in ``y``.  Exact, since both arrays hold only exact 0s and 1s."""
+    return not (x > y).any()
+
+
+def _nonempty(x: np.ndarray) -> bool:
+    """The nonemptiness decision on a snapped 0/1 array: some entry is 1."""
+    return bool(x.any())
 
 
 def forall(x: SetVector, y: SetVector) -> TruthVec:
-    """True iff x is a subset of y, i.e. x equals min(x, y) exactly.
+    """True iff x is a subset of y.
 
-    Models statements of the form "all Xs are Ys".  SetVector construction
-    already snapped entries to exact 0/1, so the comparison needs no
-    tolerance.
+    Models statements of the form "all Xs are Ys".  A thin wrapper over
+    ``_subset``, the decision a compiled plan's ``forall`` step runs too.
     """
-    if x.domain_size != y.domain_size:
-        raise DimensionMismatchError(
-            f"forall requires equal lengths, got {x.domain_size} and {y.domain_size}"
-        )
-    if elementwise_min(x.tensor, y.tensor) == x.tensor:
-        return truth_top()
-    return truth_bot()
+    decided = _subset(*_operands("forall", x.tensor.array, y.tensor.array))
+    return truth_top() if decided else truth_bot()
 
 
 def exists(x: SetVector) -> TruthVec:
-    """True iff the represented subset is nonempty (any entry positive)."""
-    if np.any(x.tensor.array > 0.0):
-        return truth_top()
-    return truth_bot()
+    """True iff the represented subset is nonempty; a thin wrapper over
+    ``_nonempty``, the decision a compiled plan's ``exists`` step runs too."""
+    return truth_top() if _nonempty(x.tensor.array) else truth_bot()
 
 
 #: Covector selecting the true-row of a truth-style predicate matrix.

@@ -52,12 +52,14 @@ class Tensor:
     __slots__ = ("_array",)
 
     def __init__(self, values, *, cap: int = DEFAULT_ELEMENT_CAP):
-        arr = np.array(values, dtype=np.float64)
+        arr = np.asarray(values)
+        # An array input is not copied until the cap has been checked.
+        ElementCapError.check("Tensor construction", arr.size, cap)
+        arr = np.array(arr, dtype=np.float64)
         if arr.ndim == 0:
             raise RankError("rank-0 tensors are not representable; wrap scalars in shape (1,)")
         if any(dim < 1 for dim in arr.shape):
             raise DimensionMismatchError(f"shape entries must be >= 1, got {arr.shape}")
-        ElementCapError.check("Tensor construction", arr.size, cap)
         arr.setflags(write=False)
         self._array = arr
 
@@ -124,15 +126,19 @@ class Tensor:
 
 
 def ones(n: int) -> Tensor:
-    return Tensor(np.ones(n))
+    if n < 1:
+        raise DimensionMismatchError(f"shape entries must be >= 1, got {(n,)}")
+    ElementCapError.check("Tensor construction", n, DEFAULT_ELEMENT_CAP)
+    return Tensor._wrap(np.ones(n))
 
 
 def one_hot(index: int, size: int) -> Tensor:
     if not 0 <= index < size:
         raise DimensionMismatchError(f"one-hot index {index} out of range for size {size}")
+    ElementCapError.check("Tensor construction", size, DEFAULT_ELEMENT_CAP)
     v = np.zeros(size)
     v[index] = 1.0
-    return Tensor(v)
+    return Tensor._wrap(v)
 
 
 def _contract_arrays(left: np.ndarray, right: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -163,23 +169,6 @@ def contract(left: Tensor, right: Tensor) -> Tensor:
     shape = left.shape[:-1] + right.shape[1:] or (1,)
     ElementCapError.check("Tensor construction", math.prod(shape), DEFAULT_ELEMENT_CAP)
     return Tensor._wrap(_contract_arrays(left.array, right.array, shape))
-
-
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"{op} requires identical shapes, got {a.shape} and {b.shape}")
-
-
-def elementwise_min(a: Tensor, b: Tensor) -> Tensor:
-    """Pointwise minimum; on characteristic vectors this is set intersection."""
-    _check_same_shape(a, b, "elementwise_min")
-    return Tensor(np.minimum(a.array, b.array))
-
-
-def elementwise_max(a: Tensor, b: Tensor) -> Tensor:
-    """Pointwise maximum; on characteristic vectors this is set union."""
-    _check_same_shape(a, b, "elementwise_max")
-    return Tensor(np.maximum(a.array, b.array))
 
 
 def diag_build(v: Tensor) -> Tensor:

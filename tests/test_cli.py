@@ -13,6 +13,7 @@ import tensorlogic.cli as cli
 from tensorlogic.cli import main
 from tensorlogic.dsl import MAX_DEPTH
 from tensorlogic.model import truth_top
+from tensorlogic.tensor import DEFAULT_ELEMENT_CAP
 from tests.conftest import BROWN_DOG_TEXT, LOVES_TEXT, MATHEMATICIAN_TEXT
 from tests.helpers import DEEP_SHAPES, ONE_ATOM_TEXT, patch_sweep_tensor_path
 
@@ -234,6 +235,24 @@ class TestFlagRanges:
         result = run_cli(args[0], "--model", model_file, *args[1:])
         assert result.returncode == 2
         assert "--cap" in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("eval", "--formula", "mathematician(john)"),
+            ("show", "mathematician"),
+        ],
+        ids=["eval", "show"],
+    )
+    def test_cap_above_the_default_is_refused(self, model_file, args):
+        # --cap only ever lowers the cap: the default itself is accepted.
+        default = str(DEFAULT_ELEMENT_CAP)
+        assert run_cli(args[0], "--model", model_file, "--cap", default, *args[1:]).returncode == 0
+        above = str(DEFAULT_ELEMENT_CAP + 1)
+        result = run_cli(args[0], "--model", model_file, "--cap", above, *args[1:])
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("usage:") and "Traceback" not in result.stderr
+        assert f"argument --cap: must be <= {default}, got {above}" in result.stderr
 
     def test_max_domain_below_one_is_refused(self):
         result = run_cli("sweep", "--max-domain", "0", "--count", "1")

@@ -24,10 +24,13 @@ from tensorlogic.dsl import (
 from tensorlogic.errors import (
     DimensionMismatchError,
     ElementCapError,
+    NonCharacteristicError,
     PlanTooLargeError,
     TensorLogicError,
 )
 from tensorlogic.evaluator import (
+    ContractionPlan,
+    Instr,
     SweepConfig,
     compile_formula,
     equivalence_sweep,
@@ -38,6 +41,7 @@ from tensorlogic.evaluator import (
 )
 from tensorlogic.generate import random_formula, random_model, random_truth_formula
 from tensorlogic.model import Model, truth_bot, truth_top
+from tensorlogic.sets import SetVector
 from tensorlogic.tensor import Tensor
 from tensorlogic.truth import build_relation, connective_not
 from tests.helpers import (
@@ -139,6 +143,53 @@ class TestCompileAndExecute:
             build(m)
         assert isinstance(info.value, ElementCapError)
         assert str(info.value) == f"{what} needs a tensor of 2000 elements, above the cap of 100"
+
+    def test_quantifier_steps_build_no_tensor_and_no_set_vector(self, greek_model, monkeypatch):
+        m = greek_model
+        texts = ["all greek human", "all human greek", "exists (greek & human)", "exists greek"]
+        plans = [compile_formula(parse_formula(text, m), m) for text in texts]
+        built = []
+
+        def count(original):
+            def counted(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                return original(self, *args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(Tensor, "__init__", count(Tensor.__init__))
+        monkeypatch.setattr(SetVector, "__post_init__", count(SetVector.__post_init__))
+        results = [execute(plan) for plan in plans]
+        assert built == []
+        assert results == [truth_top(), truth_bot(), truth_top(), truth_top()]
+
+    @staticmethod
+    def quantifier_plan(op, srcs, x, y):
+        """A hand-built plan: no compiled plan hands a quantifier such rows."""
+        steps = (
+            Instr("load", 0, payload=x, note="x"),
+            Instr("load", 1, payload=y, note="y"),
+            Instr(op, 2, srcs=srcs),
+        )
+        return ContractionPlan(steps, 2, (x.shape, y.shape, (2,)))
+
+    @pytest.mark.parametrize("op, srcs", [("forall", (0, 1)), ("exists", (0,))])
+    def test_a_quantifier_operand_off_the_grid_is_refused(self, op, srcs):
+        off_grid = Tensor([0.5, 1.0])
+        plan = self.quantifier_plan(op, srcs, off_grid, Tensor([1.0, 1.0]))
+        with pytest.raises(NonCharacteristicError) as expected:
+            SetVector(off_grid)
+        with pytest.raises(NonCharacteristicError) as info:
+            execute(plan)
+        assert str(info.value) == str(expected.value)
+        assert str(info.value) == "set vector entries must be 0 or 1, got [0.5, 1.0]"
+
+    @pytest.mark.parametrize("srcs, lengths", [((0, 1), "1 and 2"), ((1, 0), "2 and 1")])
+    def test_a_forall_over_unequal_lengths_is_refused(self, srcs, lengths):
+        plan = self.quantifier_plan("forall", srcs, Tensor([1.0]), Tensor([0.0, 1.0]))
+        with pytest.raises(DimensionMismatchError) as info:
+            execute(plan)
+        assert str(info.value) == f"forall requires equal lengths, got {lengths}"
 
     def test_plan_description_is_readable(self, mathematician_model):
         plan = compile_formula(Atom("mathematician", "tom"), mathematician_model)

@@ -150,6 +150,39 @@ class TestSetVector:
         assert union(a, b) == SetVector(Tensor([1, 1, 1]))
 
 
+class TestIntersectUnion:
+    def test_intersect_is_the_common_part(self):
+        a, b = SetVector(Tensor([1, 1, 0])), SetVector(Tensor([0, 1, 1]))
+        assert intersect(a, b) == SetVector(Tensor([0, 1, 0]))
+
+    def test_union_of_disjoint_sets(self):
+        a, b = SetVector(Tensor([1, 0, 0])), SetVector(Tensor([0, 0, 1]))
+        assert union(a, b) == SetVector(Tensor([1, 0, 1]))
+
+    def test_union_with_the_empty_set_is_identity(self):
+        x = SetVector(Tensor([1, 0, 1, 0]))
+        assert union(x, SetVector(Tensor(np.zeros(4)))) == x
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_match_set_oracle(self, length):
+        # Subset-enumeration oracle: bit vectors are characteristic vectors.
+        def members(v):
+            return {i for i, bit in enumerate(v.tensor.array) if bit}
+
+        for a_bits in bit_vectors(length):
+            a = SetVector(a_bits)
+            for b_bits in bit_vectors(length):
+                b = SetVector(b_bits)
+                assert members(intersect(a, b)) == members(a) & members(b)
+                assert members(union(a, b)) == members(a) | members(b)
+
+    @pytest.mark.parametrize("op", [intersect, union], ids=["intersect", "union"])
+    def test_length_mismatch(self, op):
+        with pytest.raises(DimensionMismatchError) as info:
+            op(SetVector(Tensor([1])), SetVector(Tensor([1, 0])))
+        assert str(info.value) == f"{op.__name__} requires equal lengths, got 1 and 2"
+
+
 class TestForall:
     def test_all_greeks_are_human(self, greek_model):
         m = greek_model

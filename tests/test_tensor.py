@@ -1,11 +1,9 @@
 """Tensor storage and contraction, checked against loop-based references.
 
-The reference implementations here (`loop_contract`, subset enumeration for
-min/max) are deliberately naive and independent of the library code paths
-they verify.
+The reference implementation here (`loop_contract`) is deliberately naive
+and independent of the library code paths it verifies.
 """
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -25,8 +23,6 @@ from tensorlogic.tensor import (
     Tensor,
     contract,
     diag_build,
-    elementwise_max,
-    elementwise_min,
     one_hot,
     ones,
 )
@@ -60,6 +56,24 @@ class TestTensorInvariants:
         Tensor(np.zeros(10), cap=10)
         with pytest.raises(ElementCapError):
             Tensor(np.zeros(11), cap=10)
+
+    def test_cap_is_checked_before_the_copy(self):
+        values = np.ones(200_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ElementCapError) as info:
+                Tensor(values, cap=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            "Tensor construction needs a tensor of 200000 elements, above the cap of 1000"
+        )
+        assert peak < 100_000
+
+    def test_ragged_input_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            Tensor([[1.0, 0.0], [1.0]])
 
     def test_immutable(self):
         t = Tensor([1.0, 2.0])
@@ -195,42 +209,6 @@ def test_cap_is_checked_before_allocation(setup):
     assert peak < 2**20
 
 
-def all_bit_vectors(length):
-    return [np.array(bits, dtype=float) for bits in itertools.product((0, 1), repeat=length)]
-
-
-class TestElementwise:
-    def test_min_is_intersection(self):
-        assert elementwise_min(Tensor([1, 1, 0]), Tensor([0, 1, 1])) == Tensor([0, 1, 0])
-
-    def test_min_idempotent(self):
-        x = Tensor([0.2, 0.9])
-        assert elementwise_min(x, x) == x
-
-    def test_max_disjoint_union(self):
-        assert elementwise_max(Tensor([1, 0, 0]), Tensor([0, 0, 1])) == Tensor([1, 0, 1])
-
-    def test_max_zero_identity(self):
-        x = Tensor([1, 0, 1, 0])
-        assert elementwise_max(x, Tensor(np.zeros(4))) == x
-
-    @pytest.mark.parametrize("length", [1, 2, 3, 4])
-    def test_min_max_match_set_oracle(self, length):
-        # Subset-enumeration oracle: bit vectors are characteristic vectors.
-        for a_bits in all_bit_vectors(length):
-            a_set = {i for i, bit in enumerate(a_bits) if bit}
-            for b_bits in all_bit_vectors(length):
-                b_set = {i for i, bit in enumerate(b_bits) if bit}
-                inter = elementwise_min(Tensor(a_bits), Tensor(b_bits))
-                union = elementwise_max(Tensor(a_bits), Tensor(b_bits))
-                assert {i for i, bit in enumerate(inter.array) if bit} == a_set & b_set
-                assert {i for i, bit in enumerate(union.array) if bit} == a_set | b_set
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            elementwise_min(Tensor([1]), Tensor([1, 2]))
-
-
 class TestDiagonal:
     def test_build_frozen_example(self):
         assert diag_build(Tensor([0, 1, 1])) == Tensor([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -255,13 +233,11 @@ def test_one_hot_entries(index, size):
         assert v.array.sum() == 1.0 and v.array[index] == 1.0
 
 
-@given(
-    st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=6),
-    st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=6),
-)
-def test_min_max_commute_on_bit_vectors(a, b):
-    if len(a) != len(b):
-        return
-    ta, tb = Tensor(a), Tensor(b)
-    assert elementwise_min(ta, tb) == elementwise_min(tb, ta)
-    assert elementwise_max(ta, tb) == elementwise_max(tb, ta)
+def test_vectors_the_package_fills_are_read_only_and_capped():
+    for v in (one_hot(1, 3), ones(3)):
+        assert not v.array.flags.writeable
+    with pytest.raises(DimensionMismatchError):
+        ones(0)
+    for build in (lambda: ones(DEFAULT_ELEMENT_CAP + 1), lambda: one_hot(0, DEFAULT_ELEMENT_CAP + 1)):
+        with pytest.raises(ElementCapError):
+            build()
