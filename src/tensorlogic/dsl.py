@@ -65,6 +65,7 @@ from .errors import (
     FormulaDepthError,
     ParseError,
     TensorLogicError,
+    UnknownAtomError,
     UnknownNameError,
 )
 from .model import Model
@@ -479,6 +480,15 @@ def print_model(m: Model) -> str:
 MAX_DEPTH = 100
 
 
+def _position(token: _Token) -> str:
+    """Where ``token`` starts, as a :class:`ParseError` message ends."""
+    return f"(line {token.line}, column {token.column})"
+
+
+def _count(number: int, noun: str) -> str:
+    return f"{number} {noun}" + ("" if number == 1 else "s")
+
+
 def _too_deep(token: _Token) -> ParseError:
     return ParseError(
         f"formula nests deeper than {MAX_DEPTH} levels", token.line, token.column
@@ -603,24 +613,29 @@ class _FormulaParser:
 
     def atom_name(self) -> str:
         token = _expect_name(self.stream, "an atom name")
-        self.model.atom_index(token.text)
+        try:
+            self.model.atom_index(token.text)
+        except UnknownAtomError:
+            raise UnknownAtomError(token.text, _position(token)) from None
         return token.text
 
     def bind_application(self, name: _Token, args: tuple[str, ...]) -> Formula:
         if name.text in self.model.predicates:
             if len(args) != 1:
                 raise ArityError(
-                    f"predicate {name.text!r} takes 1 argument, got {len(args)}"
+                    f"predicate {name.text!r} takes 1 argument, "
+                    f"got {len(args)} {_position(name)}"
                 )
             return Atom(name.text, args[0])
         if name.text in self.model.relations:
             arity = self.model.relations[name.text].arity
             if len(args) != arity:
                 raise ArityError(
-                    f"relation {name.text!r} has arity {arity}, got {len(args)} arguments"
+                    f"relation {name.text!r} has arity {arity}, "
+                    f"got {_count(len(args), 'argument')} {_position(name)}"
                 )
             return RelAtom(name.text, args)
-        raise UnknownNameError(name.text, "predicate or relation")
+        raise UnknownNameError(name.text, "predicate or relation", _position(name))
 
     # -- set layer ---------------------------------------------------------
 
@@ -640,11 +655,11 @@ class _FormulaParser:
         if name.text in self.model.predicates:
             return PredSet(name.text), 0
         if name.text not in self.model.relations:
-            raise UnknownNameError(name.text, "predicate or relation")
+            raise UnknownNameError(name.text, "predicate or relation", _position(name))
         if self.stream.peek().kind != "(":
             raise ArityError(
                 f"relation {name.text!r} in set position needs bound arguments "
-                f"and an open slot, e.g. {name.text}(a, _)"
+                f"and an open slot, e.g. {name.text}(a, _) {_position(name)}"
             )
         self.stream.advance()
         bound: list[str] = []
@@ -662,7 +677,8 @@ class _FormulaParser:
         if len(bound) != arity - 1:
             raise ArityError(
                 f"partial application of {name.text!r} (arity {arity}) "
-                f"needs {arity - 1} bound arguments, got {len(bound)}"
+                f"needs {_count(arity - 1, 'bound argument')}, "
+                f"got {len(bound)} {_position(name)}"
             )
         return PartialRel(name.text, tuple(bound)), 0
 

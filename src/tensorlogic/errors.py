@@ -2,7 +2,11 @@
 
 All engine errors derive from :class:`TensorLogicError` so callers can catch
 one type at the boundary (the CLI does exactly that).  Parse-time errors carry
-source positions; everything else carries a plain message.
+source positions: a syntax error is a :class:`ParseError`, and a binding error
+in formula text, an unknown name or a wrong argument count, keeps its own
+class and ends its message with the position of the offending name, as
+``unknown atom: 'zz' (line 1, column 3)``.  Everything else carries a plain
+message.
 """
 
 from __future__ import annotations
@@ -81,9 +85,11 @@ class InvalidTruthValueError(TensorLogicError):
 
 
 class ParseError(TensorLogicError):
-    """Syntax or binding error in model or formula text.
+    """Syntax error in model or formula text.
 
-    ``line`` and ``column`` are 1-based positions into the parsed text.
+    ``line`` and ``column`` are 1-based positions into the parsed text.  A
+    binding error in formula text is an :class:`UnknownNameError` or an
+    :class:`ArityError` whose message ends with the same position.
     """
 
     def __init__(self, message: str, line: int, column: int):

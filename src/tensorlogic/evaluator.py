@@ -44,10 +44,9 @@ disagreements when given an artifact directory.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -64,9 +63,9 @@ from .tensor import DEFAULT_ELEMENT_CAP, Tensor, _contract_arrays
 from .truth import build_predicate, build_relation_slice, connective_tensor
 
 
-@dataclass(frozen=True)
-class Instr:
-    """One plan step writing register ``dest``.
+class Instr(NamedTuple):
+    """One plan step writing register ``dest``: an immutable tuple, so that
+    a plan builds and :func:`execute` unpacks each step at tuple cost.
 
     ``load`` carries a tensor payload and a note naming what was loaded;
     the other ops read the registers in ``srcs``.
@@ -104,36 +103,61 @@ class ContractionPlan:
         return "\n".join(lines)
 
 
-#: The connective tensor of each binary node, in both calculi.
+#: The constant loads of a plan, as ``(note, tensor)`` pairs built once: the
+#: connective tensor of each connective node, in both calculi ...
 _CONNECTIVES = {
-    dsl.And: "and", dsl.Intersect: "and", dsl.Or: "or", dsl.Union: "or", dsl.Implies: "implies"
+    node: (f"conn:{kind}", connective_tensor(kind).tensor)
+    for kind, nodes in [
+        ("and", (dsl.And, dsl.Intersect)),
+        ("or", (dsl.Or, dsl.Union)),
+        ("implies", (dsl.Implies,)),
+        ("not", (dsl.Not,)),
+    ]
+    for node in nodes
 }
+#: ... and the probe that reads a quantifier operand's true row.
+_PROBE = ("true-row-probe", _TRUE_ROW_PROBE)
+
+
+def _constant(tensor: Tensor) -> Tensor:
+    """The builder of a constant load: its tensor exists from import on."""
+    return tensor
+
+
+def _predicate_matrix(m: Model, pred: str) -> Tensor:
+    return build_predicate(m, pred).tensor
+
+
+def _relation_slice(m: Model, rel: str, bound: tuple[str, ...]) -> Tensor:
+    return build_relation_slice(m, rel, bound).tensor
 
 
 class _PlanBuilder:
     def __init__(self, m: Model, cap: int):
         self.model = m
         self.cap = cap
+        self.n = m.domain_size
         self.steps: list[Instr] = []
         self.shapes: list[tuple[int, ...]] = []
 
-    def load(self, note: str, shape: tuple[int, ...], build: Callable[[], Tensor]) -> int:
-        """Load the model's tensor named by ``note``, of shape ``shape``.
+    def load(self, note: str, size: int, build: Callable[..., Tensor], *args) -> int:
+        """Load the model's tensor named by ``note``, of ``size`` elements,
+        built by ``build(*args)`` on first use.
 
         The cap is checked first, so a tensor memoised under a larger cap is
         never handed to a plan compiled under a smaller one.
         """
-        PlanTooLargeError.check(note, math.prod(shape), self.cap)
-        tensor = self.model._memo_tensor(note, build)
+        PlanTooLargeError.check(note, size, self.cap)
+        tensor = self.model._memo_tensor(note, build, *args)
         reg = len(self.shapes)
         self.shapes.append(tensor.shape)
-        self.steps.append(Instr("load", reg, payload=tensor, note=note))
+        self.steps.append(Instr("load", reg, (), tensor, note))
         return reg
 
     def emit(self, op: str, srcs: tuple[int, ...], shape: tuple[int, ...]) -> int:
         reg = len(self.shapes)
         self.shapes.append(shape)
-        self.steps.append(Instr(op, reg, srcs=srcs))
+        self.steps.append(Instr(op, reg, srcs))
         return reg
 
     def contract(self, a: int, b: int) -> int:
@@ -145,37 +169,28 @@ class _PlanBuilder:
         shape = left[:-1] + right[1:]
         return self.emit("contract", (a, b), shape or (1,))
 
-    def load_constant(self, note: str, tensor: Tensor) -> int:
-        return self.load(note, tensor.shape, lambda: tensor)
-
-    def load_connective(self, kind: str) -> int:
-        return self.load_constant(f"conn:{kind}", connective_tensor(kind).tensor)
+    def load_constant(self, constant: tuple[str, Tensor]) -> int:
+        note, tensor = constant
+        return self.load(note, tensor.size, _constant, tensor)
 
     def columnwise(self, node: Any, a: int, b: int) -> int:
         """One step combining registers ``a`` and ``b``, the lowered operands
         of binary ``node``, column by column with its connective tensor."""
-        t = self.load_connective(_CONNECTIVES[type(node)])
+        t = self.load_constant(_CONNECTIVES[type(node)])
         return self.emit("columnwise", (t, a, b), self.shapes[a])
 
     def load_predicate(self, pred: str) -> int:
         """Load the (2, n) truth matrix of predicate ``pred``."""
-        m = self.model
-        return self.load(
-            f"pred:{pred}", (2, m.domain_size), lambda: build_predicate(m, pred).tensor
-        )
+        return self.load(f"pred:{pred}", 2 * self.n, _predicate_matrix, self.model, pred)
 
     def load_slice(self, rel: str, bound: tuple[str, ...]) -> int:
         """Load the (2, n) slice of ``rel`` with its first arguments ``bound``."""
-        m = self.model
         note = f"rel:{rel}({','.join(bound + ('_',))})"
-        return self.load(
-            note, (2, m.domain_size), lambda: build_relation_slice(m, rel, bound).tensor
-        )
+        return self.load(note, 2 * self.n, _relation_slice, self.model, rel, bound)
 
     def apply(self, reg: int, arg: str) -> int:
         """Contract register ``reg`` with the one-hot vector of atom ``arg``."""
-        m = self.model
-        atom = self.load(f"atom:{arg}", (m.domain_size,), lambda: encode_atom(m, arg))
+        atom = self.load(f"atom:{arg}", self.n, encode_atom, self.model, arg)
         return self.contract(reg, atom)
 
     def lower_formula(self, f: dsl.Formula) -> int:
@@ -186,7 +201,7 @@ class _PlanBuilder:
                 return self.apply(self.load_slice(rel, args[:-1]), args[-1])
             case dsl.Not(body):
                 b = self.lower_formula(body)
-                return self.contract(self.load_connective("not"), b)
+                return self.contract(self.load_constant(_CONNECTIVES[dsl.Not]), b)
             case dsl.And(left, right) | dsl.Or(left, right) | dsl.Implies(left, right):
                 return self.columnwise(f, self.lower_formula(left), self.lower_formula(right))
             case dsl.ForAll(subset, superset):
@@ -199,8 +214,7 @@ class _PlanBuilder:
     def lower_operand(self, e: dsl.SetExpr) -> int:
         """The true row of a quantifier operand's (2, n) matrix."""
         matrix = self.lower_set(e)
-        probe = self.load_constant("true-row-probe", _TRUE_ROW_PROBE)
-        return self.contract(probe, matrix)
+        return self.contract(self.load_constant(_PROBE), matrix)
 
     def lower_set(self, e: dsl.SetExpr) -> int:
         """The (2, n) truth matrix of a set expression over the domain."""
@@ -244,25 +258,26 @@ def execute(plan: ContractionPlan) -> TruthVec:
     time; a quantifier still checks that its operands are characteristic
     vectors, and the result that it is a truth vector.
     """
-    registers: list[np.ndarray | None] = [None] * plan.register_count
-    for instr in plan.steps:
-        match instr.op:
+    shapes = plan.register_shapes
+    registers: list[np.ndarray | None] = [None] * len(shapes)
+    for op, dest, srcs, payload, _ in plan.steps:
+        match op:
             case "load":
-                value = instr.payload.array
+                value = payload.array
             case "contract":
-                a, b = instr.srcs
-                value = _contract_arrays(registers[a], registers[b], plan.register_shapes[instr.dest])
+                a, b = srcs
+                value = _contract_arrays(registers[a], registers[b], shapes[dest])
             case "columnwise":
-                c, a, b = instr.srcs
+                c, a, b = srcs
                 value = np.einsum("abc,c...,b...->a...", registers[c], registers[a], registers[b])
             case "forall":
-                x, y = (_set_bits(registers[s]) for s in instr.srcs)
+                x, y = (_set_bits(registers[s]) for s in srcs)
                 value = _VERDICTS[_subset(*_operands("forall", x, y))]
             case "exists":
-                value = _VERDICTS[_nonempty(_set_bits(registers[instr.srcs[0]]))]
+                value = _VERDICTS[_nonempty(_set_bits(registers[srcs[0]]))]
             case _:
-                raise ValueError(f"unknown plan instruction {instr.op!r}")
-        registers[instr.dest] = value
+                raise ValueError(f"unknown plan instruction {op!r}")
+        registers[dest] = value
     return TruthVec.from_tensor(Tensor._wrap(registers[plan.result]))
 
 

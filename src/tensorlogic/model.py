@@ -143,8 +143,8 @@ class Model:
         except KeyError:
             raise UnknownRelationError(name) from None
 
-    def _memo_tensor(self, key: str, build: Callable[[], Tensor]) -> Tensor:
-        """The tensor stored under ``key``, built by ``build`` on first use.
+    def _memo_tensor(self, key: str, build: Callable[..., Tensor], *args) -> Tensor:
+        """The tensor stored under ``key``, built by ``build(*args)`` on first use.
 
         A model's extensions never change, so neither does a tensor built
         from them.  Threads that race on a miss may each build, but
@@ -153,7 +153,7 @@ class Model:
         """
         tensor = self._tensors.get(key)
         if tensor is None:
-            tensor = self._tensors.setdefault(key, build())
+            tensor = self._tensors.setdefault(key, build(*args))
         return tensor
 
 

@@ -143,8 +143,17 @@ def one_hot(index: int, size: int) -> Tensor:
 
 def _contract_arrays(left: np.ndarray, right: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The one contraction kernel: ``left``'s rightmost index with ``right``'s
-    leftmost, as one ``np.dot`` of the ``(-1, k)`` and ``(k, -1)`` reshapes,
-    reshaped to the result's ``shape``, which the caller already knows."""
+    leftmost, into the result's ``shape``, which the caller already knows.
+
+    When both operands have rank at most 2, and not both rank 1, this is
+    ``np.dot(left, right)`` as it stands.  Every other pair is one ``np.dot``
+    of the ``(-1, k)`` and ``(k, -1)`` reshapes, reshaped to ``shape``.  The
+    plain branch stops at rank 2 because only there is ``np.dot`` bitwise
+    equal to ``np.tensordot``: on rank 3 and 4 operands it sums in another
+    order and differs in the last bits.
+    """
+    if left.ndim + right.ndim > 2 and left.ndim <= 2 and right.ndim <= 2:
+        return np.dot(left, right)
     k = right.shape[0]
     return np.dot(left.reshape(-1, k), right.reshape(k, -1)).reshape(shape)
 

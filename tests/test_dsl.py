@@ -210,6 +210,41 @@ class TestParseFormula:
         with pytest.raises(ArityError):
             parse_formula("exists loves", loves_model)
 
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("p(zz)", UnknownAtomError, "unknown atom: 'zz' (line 1, column 3)"),
+            ("q(a)", UnknownNameError, "unknown predicate or relation: 'q' (line 1, column 1)"),
+            ("exists q", UnknownNameError, "unknown predicate or relation: 'q' (line 1, column 8)"),
+            ("p(a,b)", ArityError, "predicate 'p' takes 1 argument, got 2 (line 1, column 1)"),
+            ("r(a)", ArityError, "relation 'r' has arity 2, got 1 argument (line 1, column 1)"),
+            (
+                "p(a) &\n  r(a, a, a)",
+                ArityError,
+                "relation 'r' has arity 2, got 3 arguments (line 2, column 3)",
+            ),
+            (
+                "exists r",
+                ArityError,
+                "relation 'r' in set position needs bound arguments and an open slot, "
+                "e.g. r(a, _) (line 1, column 8)",
+            ),
+            (
+                "exists r(a, a, _)",
+                ArityError,
+                "partial application of 'r' (arity 2) needs 1 bound argument, got 2 "
+                "(line 1, column 8)",
+            ),
+            ("all p r(zz, _)", UnknownAtomError, "unknown atom: 'zz' (line 1, column 9)"),
+        ],
+    )
+    def test_binding_errors_give_the_position_of_the_name(self, text, error, message):
+        m = parse_model("domain a b\npred p: a\nrel r/2: (a, b)\n")
+        with pytest.raises(error) as info:
+            parse_formula(text, m)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
     def test_embedded_quantifiers_rejected(self, greek_model):
         for text in (
             "~all greek human",

@@ -7,6 +7,7 @@ that goes through the public ``Tensor`` operations, and against the oracle.
 """
 
 import dataclasses
+import hashlib
 import random
 import sys
 import threading
@@ -169,6 +170,57 @@ def test_describe_of_an_intersection():
         "r6 <- exists r5  shape (2,)",
         "result: r6",
     ]
+
+
+def scale_shaped_model(n: int) -> Model:
+    """A model shaped like the benchmark's ``scale`` ones: a predicate ``p0``,
+    a binary relation ``b`` on 5% of pairs, a ternary ``t`` on 1% of triples."""
+    rng = random.Random(n)
+    names = [f"x{i}" for i in range(n)]
+
+    def tuples(arity: int, density: float) -> list[tuple[str, ...]]:
+        flat = rng.sample(range(n**arity), round(density * n**arity))
+        return [tuple(names[i // n**j % n] for j in range(arity)) for i in flat]
+
+    return Model.from_names(
+        names,
+        {"p0": rng.sample(names, n // 2)},
+        {"b": (2, tuples(2, 0.05)), "t": (3, tuples(3, 0.01))},
+    )
+
+
+SCALE_FORMULAS = (
+    "t(x1, x2, x3)",
+    "exists t(x0, x1, _)",
+    "p0(x3) & b(x1, x2)",
+    "exists (t(x2, x3, _) & p0)",
+    "all p0 (b(x0, _) | t(x1, x1, _))",
+    "~b(x0, x1) -> p0(x2) | t(x3, x2, x1)",
+)
+
+
+def test_the_plans_the_builder_emits_are_pinned():
+    # The first 2,000 seed-151 instances, drawn in the sweep's order, and
+    # fixed formulas over four scale-shaped models: every step, note, shape
+    # and register of every plan, as ``describe`` prints them.
+    rng = random.Random(151)
+    instances = []
+    for _ in range(2000):
+        m = random_model(rng, max_domain=5)
+        instances.append((m, random_formula(rng, m, max_depth=3)))
+    for n in (40, 80, 120, 160):
+        m = scale_shaped_model(n)
+        instances += [(m, parse_formula(text, m)) for text in SCALE_FORMULAS]
+    digest = hashlib.sha256()
+    for m, f in instances:
+        plan = compile_formula(f, m)
+        digest.update(plan.describe().encode() + b"\n\n")
+        for instr in plan.steps:
+            if instr.op == "load":
+                assert instr.payload is m._tensors[instr.note]
+    assert digest.hexdigest() == (
+        "11270a95d7f17b226dc6b59ee273b0eec1056ca6a23e7b76bb45c17d947a3363"
+    )
 
 
 def executed_column(plan: ContractionPlan, reg: int, m: Model, j: int) -> TruthVec:

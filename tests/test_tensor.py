@@ -21,6 +21,7 @@ from tensorlogic.sets import build_set_predicate
 from tensorlogic.tensor import (
     DEFAULT_ELEMENT_CAP,
     Tensor,
+    _contract_arrays,
     contract,
     diag_build,
     one_hot,
@@ -176,6 +177,59 @@ class TestContract:
             result = contract(Tensor(left), Tensor(right)).array
             assert result.shape == (expected.shape or (1,))
             assert result.tobytes() == expected.tobytes()
+
+
+def reshape_contract(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The kernel's general form: one ``np.dot`` of the two matrix reshapes."""
+    k = right.shape[0]
+    shape = left.shape[:-1] + right.shape[1:] or (1,)
+    return np.dot(left.reshape(-1, k), right.reshape(k, -1)).reshape(shape)
+
+
+@pytest.mark.parametrize("ranks", [(1, 2), (2, 1), (2, 2)], ids=lambda r: f"{r[0]}x{r[1]}")
+def test_the_plain_dot_at_rank_two_is_bitwise_tensordot_and_the_reshape_form(ranks):
+    # Probability-valued operands with every contracted length of the scale
+    # workload's sizes, 1 to 160, and free lengths from 1 to 160.
+    rng = np.random.default_rng(31 + 10 * ranks[0] + ranks[1])
+    for k in range(1, 161):
+        free = [int(n) for n in rng.integers(1, 161, size=2)]
+        left = rng.random(size=tuple(free[:1]) * (ranks[0] - 1) + (k,))
+        right = rng.random(size=(k,) + tuple(free[1:]) * (ranks[1] - 1))
+        shape = left.shape[:-1] + right.shape[1:]
+        result = _contract_arrays(left, right, shape)
+        expected = np.tensordot(left, right, axes=([left.ndim - 1], [0]))
+        assert result.shape == expected.shape == shape
+        assert result.tobytes() == expected.tobytes()
+        assert result.tobytes() == reshape_contract(left, right).tobytes()
+        assert contract(Tensor(left), Tensor(right)).array.tobytes() == expected.tobytes()
+
+
+def test_two_vectors_contract_to_the_scalar_carrier():
+    rng = np.random.default_rng(37)
+    for k in (1, 2, 40, 160):
+        left, right = rng.random(size=k), rng.random(size=k)
+        result = _contract_arrays(left, right, (1,))
+        assert result.shape == (1,)
+        assert result.tobytes() == np.tensordot(left, right, axes=([0], [0])).reshape(1).tobytes()
+        assert contract(Tensor(left), Tensor(right)).shape == (1,)
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [(3, 1), (1, 3), (3, 2), (2, 3), (4, 1), (1, 4), (3, 3), (4, 2)],
+    ids=lambda r: f"{r[0]}x{r[1]}",
+)
+def test_rank_three_and_four_operands_still_match_tensordot_bitwise(ranks):
+    rng = np.random.default_rng(41 + 10 * ranks[0] + ranks[1])
+    for _ in range(60):
+        k = int(rng.integers(1, 161))
+        left_free = tuple(int(n) for n in rng.integers(1, 7, size=ranks[0] - 1))
+        right_free = tuple(int(n) for n in rng.integers(1, 7, size=ranks[1] - 1))
+        left, right = rng.random(size=left_free + (k,)), rng.random(size=(k,) + right_free)
+        expected = np.tensordot(left, right, axes=([left.ndim - 1], [0]))
+        result = _contract_arrays(left, right, expected.shape)
+        assert result.shape == expected.shape
+        assert result.tobytes() == expected.tobytes()
 
 
 # Each result has 4000 x 4000 = 16 million elements, above the default cap:
