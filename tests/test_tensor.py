@@ -186,32 +186,25 @@ def reshape_contract(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.dot(left.reshape(-1, k), right.reshape(k, -1)).reshape(shape)
 
 
-@pytest.mark.parametrize("ranks", [(1, 2), (2, 1), (2, 2)], ids=lambda r: f"{r[0]}x{r[1]}")
-def test_the_plain_dot_at_rank_two_is_bitwise_tensordot_and_the_reshape_form(ranks):
+@pytest.mark.parametrize(
+    "ranks", [(1, 1), (1, 2), (2, 1), (2, 2)], ids=lambda r: f"{r[0]}x{r[1]}"
+)
+def test_rank_two_operands_match_tensordot_and_the_reshape_form_bitwise(ranks):
     # Probability-valued operands with every contracted length of the scale
-    # workload's sizes, 1 to 160, and free lengths from 1 to 160.
+    # workload's sizes, 1 to 160, and free lengths from 1 to 160.  Two
+    # vectors contract to the scalar carrier, of shape (1,).
     rng = np.random.default_rng(31 + 10 * ranks[0] + ranks[1])
     for k in range(1, 161):
         free = [int(n) for n in rng.integers(1, 161, size=2)]
         left = rng.random(size=tuple(free[:1]) * (ranks[0] - 1) + (k,))
         right = rng.random(size=(k,) + tuple(free[1:]) * (ranks[1] - 1))
-        shape = left.shape[:-1] + right.shape[1:]
+        shape = left.shape[:-1] + right.shape[1:] or (1,)
         result = _contract_arrays(left, right, shape)
         expected = np.tensordot(left, right, axes=([left.ndim - 1], [0]))
-        assert result.shape == expected.shape == shape
+        assert result.shape == shape
         assert result.tobytes() == expected.tobytes()
         assert result.tobytes() == reshape_contract(left, right).tobytes()
         assert contract(Tensor(left), Tensor(right)).array.tobytes() == expected.tobytes()
-
-
-def test_two_vectors_contract_to_the_scalar_carrier():
-    rng = np.random.default_rng(37)
-    for k in (1, 2, 40, 160):
-        left, right = rng.random(size=k), rng.random(size=k)
-        result = _contract_arrays(left, right, (1,))
-        assert result.shape == (1,)
-        assert result.tobytes() == np.tensordot(left, right, axes=([0], [0])).reshape(1).tobytes()
-        assert contract(Tensor(left), Tensor(right)).shape == (1,)
 
 
 @pytest.mark.parametrize(
