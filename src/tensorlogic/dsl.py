@@ -406,9 +406,10 @@ def _parse_model_tokens(text: str) -> _Declarations:
         if keyword not in ("pred", "rel"):
             raise ParseError("expected a 'pred' or 'rel' statement", head.line, head.column)
         kind = "predicate" if keyword == "pred" else "relation"
-        name = _expect_name(stream, f"a {kind} name").text
+        name_token = _expect_name(stream, f"a {kind} name")
+        name = name_token.text
         if name in predicates or name in relations:
-            raise DuplicateNameError(f"symbol {name!r} declared twice")
+            raise DuplicateNameError(f"symbol {name!r} declared twice {_position(name_token)}")
         if keyword == "pred":
             stream.expect(":")
             predicates[name] = _names_to_statement_end(stream)
@@ -422,11 +423,11 @@ def _parse_model_tokens(text: str) -> _Declarations:
                 f"arity has too many digits ({len(token.text)})", token.line, token.column
             ) from None
         if arity < 1:
-            raise ArityError(f"relation {name!r} declared with arity {arity}")
+            raise ArityError(f"relation {name!r} declared with arity {arity} {_position(token)}")
         stream.expect(":")
         tuples: list[tuple[str, ...]] = []
         while not stream.at_statement_end():
-            stream.expect("(")
+            opening = stream.expect("(")
             members = [_expect_name(stream, "an atom name").text]
             while stream.peek().kind == ",":
                 stream.advance()
@@ -435,7 +436,7 @@ def _parse_model_tokens(text: str) -> _Declarations:
             if len(members) != arity:
                 raise ArityError(
                     f"tuple {tuple(members)} has length {len(members)}, "
-                    f"relation {name!r} has arity {arity}"
+                    f"relation {name!r} has arity {arity} {_position(opening)}"
                 )
             tuples.append(tuple(members))
         relations[name] = (arity, tuples)

@@ -3,10 +3,12 @@
 All engine errors derive from :class:`TensorLogicError` so callers can catch
 one type at the boundary (the CLI does exactly that).  Parse-time errors carry
 source positions: a syntax error is a :class:`ParseError`, and a binding error
-in formula text, an unknown name or a wrong argument count, keeps its own
-class and ends its message with the position of the offending name, as
-``unknown atom: 'zz' (line 1, column 3)``.  Everything else carries a plain
-message.
+keeps its own class and ends its message with the position of the offending
+token, as ``unknown atom: 'zz' (line 1, column 3)``.  In formula text that is
+an unknown name or a wrong argument count; in model text a symbol declared
+twice, a tuple of the wrong length or an arity of 0.  Everything else,
+:meth:`~tensorlogic.model.Model.from_names`' own checks included, carries a
+plain message.
 """
 
 from __future__ import annotations

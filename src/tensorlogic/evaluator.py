@@ -29,9 +29,10 @@ prefix, so its slices in that memo never hold more than the 2 n^k elements
 of its dense tensor.  Every load is checked against the element cap before
 the memo is read, and the dimension preconditions of every step are checked
 at compile time from the model's domain size.  :func:`execute` therefore
-runs the steps directly on the payloads' read-only ndarrays and wraps only
-the result; a quantifier step runs the set-vector check and the decision
-kernel of :mod:`tensorlogic.sets` straight on its operand registers.
+runs the steps directly on the payloads' read-only ndarrays, and reads its
+verdict straight off the two floats of the result register; a quantifier
+step runs the set-vector check and the decision kernel of
+:mod:`tensorlogic.sets` straight on its operand registers.
 
 :func:`oracle_eval` is the independent referee: it evaluates the same bound
 AST directly over the model's sets with classical connective semantics and
@@ -55,6 +56,7 @@ from .errors import (
     DimensionMismatchError,
     ElementCapError,
     FormulaDepthError,
+    InvalidTruthValueError,
     PlanTooLargeError,
 )
 from .model import Model, TruthVec, _set_bits, encode_atom, truth_bot, truth_top
@@ -78,17 +80,12 @@ class Instr(NamedTuple):
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ContractionPlan:
+class ContractionPlan(NamedTuple):
     """Straight-line tensor program with a single truth-vector result."""
 
     steps: tuple[Instr, ...]
     result: int
     register_shapes: tuple[tuple[int, ...], ...]
-
-    @property
-    def register_count(self) -> int:
-        return len(self.register_shapes)
 
     def describe(self) -> str:
         lines = []
@@ -132,6 +129,11 @@ def _relation_slice(m: Model, rel: str, bound: tuple[str, ...]) -> Tensor:
     return build_relation_slice(m, rel, bound).tensor
 
 
+#: Builds a plan or a step from a tuple of all its fields, skipping the
+#: keyword handling of a ``NamedTuple``'s own constructor.
+_new_tuple = tuple.__new__
+
+
 class _PlanBuilder:
     def __init__(self, m: Model, cap: int):
         self.model = m
@@ -151,13 +153,13 @@ class _PlanBuilder:
         tensor = self.model._memo_tensor(note, build, *args)
         reg = len(self.shapes)
         self.shapes.append(tensor.shape)
-        self.steps.append(Instr("load", reg, (), tensor, note))
+        self.steps.append(_new_tuple(Instr, ("load", reg, (), tensor, note)))
         return reg
 
     def emit(self, op: str, srcs: tuple[int, ...], shape: tuple[int, ...]) -> int:
         reg = len(self.shapes)
         self.shapes.append(shape)
-        self.steps.append(Instr(op, reg, srcs))
+        self.steps.append(_new_tuple(Instr, (op, reg, srcs, None, "")))
         return reg
 
     def contract(self, a: int, b: int) -> int:
@@ -241,11 +243,14 @@ def compile_formula(
         raise DimensionMismatchError(
             f"plan result register has shape {builder.shapes[result]}, expected (2,)"
         )
-    return ContractionPlan(tuple(builder.steps), result, tuple(builder.shapes))
+    return _new_tuple(ContractionPlan, (tuple(builder.steps), result, tuple(builder.shapes)))
 
 
 #: A quantifier step's output, indexed by its decision: false, then true.
 _VERDICTS = (truth_bot().to_tensor().array, truth_top().to_tensor().array)
+#: The verdict of a crisp result register, keyed by the register's bytes so
+#: that a ``-0.0`` entry, which ``==`` would not tell from ``0.0``, misses.
+_CRISP = {v.to_tensor().array.tobytes(): v for v in (truth_bot(), truth_top())}
 
 
 def execute(plan: ContractionPlan) -> TruthVec:
@@ -256,7 +261,10 @@ def execute(plan: ContractionPlan) -> TruthVec:
     and of ``contract`` (the kernel of :func:`tensorlogic.tensor.contract`),
     and a quantifier's read-only verdict.  Shapes were checked at compile
     time; a quantifier still checks that its operands are characteristic
-    vectors, and the result that it is a truth vector.
+    vectors.  The result register's shape is ``(2,)``, so the verdict is
+    read straight off its two floats: a crisp pair is the shared
+    ``truth_top()`` or ``truth_bot()`` value, any other pair a new
+    :class:`TruthVec` that must be normalized.
     """
     shapes = plan.register_shapes
     registers: list[np.ndarray | None] = [None] * len(shapes)
@@ -278,7 +286,13 @@ def execute(plan: ContractionPlan) -> TruthVec:
             case _:
                 raise ValueError(f"unknown plan instruction {op!r}")
         registers[dest] = value
-    return TruthVec.from_tensor(Tensor._wrap(registers[plan.result]))
+    result = registers[plan.result]
+    verdict = _CRISP.get(result.tobytes())
+    if verdict is None:
+        verdict = TruthVec(*result.tolist())
+        if not verdict.is_normalized:
+            raise InvalidTruthValueError(f"{verdict} is not normalized")
+    return verdict
 
 
 def evaluate(f: dsl.Formula, m: Model, *, cap: int = DEFAULT_ELEMENT_CAP) -> TruthVec:

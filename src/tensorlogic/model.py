@@ -18,7 +18,7 @@ cannot be mixed by accident.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -83,37 +83,44 @@ class Model:
         """
         names = tuple(atom_names)
         index = {name: i for i, name in enumerate(names)}
+        resolve = index.__getitem__
         preds = {}
         for p, ext in (predicates or {}).items():
             try:
-                preds[p] = frozenset([index[a] for a in ext])
+                preds[p] = frozenset(map(resolve, ext))
             except KeyError as err:
                 raise UnknownAtomError(err.args[0], f"in predicate {p!r}") from None
-        rels = {}
+        # Each relation's names are resolved flat and zipped back into
+        # arity-tuples; a set zipped from tuples of another length, or at an
+        # arity below 1, is refused below and never stored.
+        resolved = {}
         for r, (arity, tuples) in (relations or {}).items():
+            tuples = list(tuples)
+            indices = map(resolve, chain.from_iterable(tuples))
             try:
-                resolved = frozenset([tuple([index[a] for a in tup]) for tup in tuples])
+                resolved[r] = arity, tuples, frozenset(zip(*[indices] * max(arity, 1)))
             except KeyError as err:
                 raise UnknownAtomError(err.args[0], f"in relation {r!r}") from None
-            rels[r] = RelationDecl(arity, resolved)
         if not names:
             raise DimensionMismatchError("a model needs at least one domain atom")
         if len(index) != len(names):
             raise DuplicateNameError(f"duplicate atom names in {list(names)}")
         seen = set(index)
-        for name in [*preds, *rels]:
+        for name in [*preds, *resolved]:
             if name in seen:
                 raise DuplicateNameError(f"symbol name {name!r} is already declared")
             seen.add(name)
-        for name, decl in rels.items():
-            if decl.arity < 1:
-                raise ArityError(f"relation {name!r} declared with arity {decl.arity}")
-            for tup in decl.tuples:
-                if len(tup) != decl.arity:
-                    raise ArityError(
-                        f"tuple {tuple(names[i] for i in tup)} in relation {name!r} "
-                        f"has length {len(tup)}, declared arity is {decl.arity}"
-                    )
+        rels = {}
+        for name, (arity, tuples, index_tuples) in resolved.items():
+            if arity < 1:
+                raise ArityError(f"relation {name!r} declared with arity {arity}")
+            if set(map(len, tuples)) - {arity}:
+                tup = next(tup for tup in tuples if len(tup) != arity)
+                raise ArityError(
+                    f"tuple {tuple(tup)} in relation {name!r} "
+                    f"has length {len(tup)}, declared arity is {arity}"
+                )
+            rels[name] = RelationDecl(arity, index_tuples)
         model = object.__new__(cls)
         # ``__init__`` refuses every call, so the frozen fields are set directly.
         vars(model).update(

@@ -395,7 +395,7 @@ MALFORMED_MODELS = [
     ("domain a\nrel pred/1: (a)", ParseError, "'pred' is a reserved word", 2, 5),
     ("domain a $", ParseError, "unexpected character '$'", 1, 10),
     ("# c\n\n \ndomain a\npred p: a\nrel r/2: (a a)", ParseError, "expected ')', found 'a'", 6, 13),
-    ("\n# c\ndomain a\npred p:\npred p:", DuplicateNameError, "symbol 'p' declared twice", 0, 0),
+    ("\n# c\ndomain a\npred p:\npred p:", DuplicateNameError, "symbol 'p' declared twice", 5, 6),
     ("domain\npred p:", ParseError, "'domain' needs at least one atom name", 1, 7),
     ("domain a\npred", ParseError, "expected a predicate name, found end of input", 2, 5),
     ("domain a\nrel r/", ParseError, "expected an arity, found end of input", 2, 7),
@@ -409,9 +409,10 @@ MALFORMED_MODELS = [
     ("domain a\r\ndomain b\r\n", ParseError, "only one 'domain' statement is allowed", 2, 1),
     ("# header\npred p: a", ParseError, "model must start with a 'domain' statement", 2, 1),
     ("domain a\nrel r/2: (a, all)", ParseError, "'all' is a reserved word", 2, 14),
-    ("domain a\npred p: a\nrel p/1: (a)", DuplicateNameError, "symbol 'p' declared twice", 0, 0),
+    ("domain a\npred p: a\nrel p/1: (a)", DuplicateNameError, "symbol 'p' declared twice", 3, 5),
     ("domain a\nrel r/2: (a, a) (a)", ArityError,
-     "tuple ('a',) has length 1, relation 'r' has arity 2", 0, 0),
+     "tuple ('a',) has length 1, relation 'r' has arity 2", 2, 17),
+    ("domain a\nrel r/0:", ArityError, "relation 'r' declared with arity 0", 2, 7),
     # More digits than int() reads by default (4,300).
     ("domain a\nrel r/" + "1" * 5000 + ":", ParseError, "arity has too many digits (5000)", 2, 7),
 ]
@@ -422,8 +423,8 @@ def test_malformed_model_errors(text, error, message, line, column):
     with pytest.raises(error) as info:
         parse_model(text)
     assert type(info.value) is error
-    if not issubclass(error, ParseError):  # carries no position
-        assert str(info.value) == message
+    if not issubclass(error, ParseError):  # a binding error: the message ends with it
+        assert str(info.value) == f"{message} (line {line}, column {column})"
     else:
         assert info.value.bare_message == message
         assert (info.value.line, info.value.column) == (line, column)

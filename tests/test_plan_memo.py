@@ -30,7 +30,7 @@ from tensorlogic.dsl import (
     Union,
     parse_formula,
 )
-from tensorlogic.errors import PlanTooLargeError
+from tensorlogic.errors import InvalidTruthValueError, PlanTooLargeError
 from tensorlogic.evaluator import ContractionPlan, Instr, compile_formula, execute, oracle_eval
 from tensorlogic.generate import random_formula, random_model
 from tensorlogic.model import Model, TruthVec, encode_atom
@@ -221,6 +221,46 @@ def test_the_plans_the_builder_emits_are_pinned():
     assert digest.hexdigest() == (
         "11270a95d7f17b226dc6b59ee273b0eec1056ca6a23e7b76bb45c17d947a3363"
     )
+
+
+def test_the_verdict_is_the_truth_vector_of_the_result_register():
+    # The pinned plans again: ``execute`` reads its verdict off the result
+    # register's floats, and gives what ``TruthVec.from_tensor`` makes of
+    # that register in the reference executor.  ``repr`` tells a -0.0
+    # weight from 0.0, which ``==`` does not.
+    rng = random.Random(151)
+    instances = []
+    for _ in range(2000):
+        m = random_model(rng, max_domain=5)
+        instances.append((m, random_formula(rng, m, max_depth=3)))
+    for n in (40, 80, 120, 160):
+        m = scale_shaped_model(n)
+        instances += [(m, parse_formula(text, m)) for text in SCALE_FORMULAS]
+    for m, f in instances:
+        plan = compile_formula(f, m)
+        verdict = execute(plan)
+        expected = reference_execute(plan)
+        assert (repr(verdict.t), repr(verdict.f)) == (repr(expected.t), repr(expected.f))
+        assert verdict.extrapolated is False
+
+
+def loaded_result(values) -> ContractionPlan:
+    """A hand-built plan whose result is the one register it loads."""
+    return ContractionPlan((Instr("load", 0, payload=Tensor(values), note="v"),), 0, ((2,),))
+
+
+@pytest.mark.parametrize("values", [[0.25, 0.75], [1.0, -0.0], [-0.0, 1.0], [1.0, 1e-13]])
+def test_a_result_that_is_not_a_plain_crisp_pair_keeps_its_floats(values):
+    verdict = execute(loaded_result(values))
+    assert (repr(verdict.t), repr(verdict.f)) == tuple(map(repr, values))
+
+
+def test_a_result_that_is_not_normalized_is_refused_as_from_tensor_refuses_it():
+    with pytest.raises(InvalidTruthValueError) as expected:
+        TruthVec.from_tensor(Tensor([0.5, 0.9]))
+    with pytest.raises(InvalidTruthValueError) as info:
+        execute(loaded_result([0.5, 0.9]))
+    assert str(info.value) == str(expected.value) == "[0.5, 0.9] is not normalized"
 
 
 def executed_column(plan: ContractionPlan, reg: int, m: Model, j: int) -> TruthVec:
