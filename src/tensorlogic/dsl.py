@@ -33,6 +33,13 @@ one open slot, written ``_`` in the last argument position, e.g.
 only legal at the very top of a formula; anywhere else they raise
 :class:`EmbeddedQuantifierError`.
 
+The AST has one sort.  A set expression is an open formula over the one free
+variable :data:`VAR`: ``greek`` in set position is ``Atom("greek", VAR)``,
+``loves(john, _)`` is ``RelAtom("loves", ("john", VAR))``, and ``&`` and
+``|`` between set expressions build :class:`And` and :class:`Or`, as they do
+between formulas.  :func:`PredSet`, :func:`PartialRel`, ``Intersect`` and
+``Union`` are shorthands that build those nodes.
+
 A formula nests at most :data:`MAX_DEPTH` levels deep, counting every
 connective and every pair of parentheses around its deepest atom; deeper text
 is a :class:`ParseError` at the token that crosses the limit.
@@ -53,10 +60,11 @@ continue with letters, digits, or underscores.
 
 from __future__ import annotations
 
+import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
     ArityError,
@@ -67,6 +75,7 @@ from .errors import (
     TensorLogicError,
     UnknownAtomError,
     UnknownNameError,
+    _count,
 )
 from .model import Model
 
@@ -77,20 +86,30 @@ RESERVED = frozenset({"domain", "pred", "rel", "all", "exists"})
 # AST
 
 
+class _Variable(enum.Enum):
+    VAR = "VAR"
+
+
+#: The one free variable of an open formula.  It is not a ``str``, so no atom
+#: name can be it.
+VAR = _Variable.VAR
+
+
 @dataclass(frozen=True)
 class Atom:
-    """Predicate applied to a single named atom."""
+    """Predicate applied to a single named atom, or to :data:`VAR`."""
 
     pred: str
-    arg: str
+    arg: str | _Variable
 
 
 @dataclass(frozen=True)
 class RelAtom:
-    """Relation applied to a full tuple of named atoms, first argument first."""
+    """Relation applied to a full tuple of named atoms, first argument first;
+    an argument may be :data:`VAR`, which a plan takes only last."""
 
     rel: str
-    args: tuple[str, ...]
+    args: tuple[str | _Variable, ...]
 
 
 @dataclass(frozen=True)
@@ -117,52 +136,37 @@ class Implies:
 
 
 @dataclass(frozen=True)
-class PredSet:
-    """A predicate's extension, used as a set."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class PartialRel:
-    """Relation with all arguments but the last bound; denotes the set of
-    atoms that fill the open slot."""
-
-    rel: str
-    bound: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Intersect:
-    left: "SetExpr"
-    right: "SetExpr"
-
-
-@dataclass(frozen=True)
-class Union:
-    left: "SetExpr"
-    right: "SetExpr"
-
-
-SetExpr = PredSet | PartialRel | Intersect | Union
-
-
-@dataclass(frozen=True)
 class ForAll:
-    """Subset assertion: every member of ``subset`` is in ``superset``."""
+    """Subset assertion between two open formulas over :data:`VAR`."""
 
-    subset: SetExpr
-    superset: SetExpr
+    subset: "Formula"
+    superset: "Formula"
 
 
 @dataclass(frozen=True)
 class Exists:
-    """Nonemptiness assertion for a set expression."""
+    """Nonemptiness assertion for an open formula over :data:`VAR`."""
 
-    body: SetExpr
+    body: "Formula"
 
 
 Formula = Atom | RelAtom | Not | And | Or | Implies | ForAll | Exists
+
+
+# Set-position shorthands: a set expression is an open formula over VAR.
+
+
+def PredSet(name: str) -> Atom:
+    """A predicate's extension, used as a set: ``name(VAR)``."""
+    return Atom(name, VAR)
+
+
+def PartialRel(rel: str, bound: tuple[str, ...]) -> RelAtom:
+    """A relation with its last argument open: ``rel(*bound, VAR)``."""
+    return RelAtom(rel, (*bound, VAR))
+
+
+Intersect, Union = And, Or
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +490,6 @@ def _position(token: _Token) -> str:
     return f"(line {token.line}, column {token.column})"
 
 
-def _count(number: int, noun: str) -> str:
-    return f"{number} {noun}" + ("" if number == 1 else "s")
-
-
 def _too_deep(token: _Token) -> ParseError:
     return ParseError(
         f"formula nests deeper than {MAX_DEPTH} levels", token.line, token.column
@@ -515,7 +515,7 @@ class _FormulaParser:
         # The tighter chain of each layer, bound here so that a level of
         # nesting costs no extra stack frame for it.
         self.and_chain = partial(self.chain, self.unary, "&", And)
-        self.set_intersect = partial(self.chain, self.set_arg, "&", Intersect)
+        self.set_intersect = partial(self.chain, self.set_arg, "&", And)
 
     def parse(self) -> Formula:
         token = self.stream.peek()
@@ -551,7 +551,7 @@ class _FormulaParser:
             raise _too_deep(token)
         return depth + 1
 
-    def parenthesized(self, inner: Callable[[], tuple[Any, int]]) -> tuple[Any, int]:
+    def parenthesized(self, inner: Callable[[], tuple[Formula, int]]) -> tuple[Formula, int]:
         token = self.stream.advance()
         self.enter(token)
         node, depth = inner()
@@ -560,8 +560,8 @@ class _FormulaParser:
         return node, self.deeper(depth, token)
 
     def chain(
-        self, operand: Callable[[], tuple[Any, int]], op: str, node_type: type
-    ) -> tuple[Any, int]:
+        self, operand: Callable[[], tuple[Formula, int]], op: str, node_type: type
+    ) -> tuple[Formula, int]:
         """A left-associative chain ``operand (op operand)*``."""
         node, depth = operand()
         while (token := self.stream.peek()).kind == op:
@@ -640,7 +640,7 @@ class _FormulaParser:
 
     # -- set layer ---------------------------------------------------------
 
-    def set_arg(self) -> tuple[SetExpr, int]:
+    def set_arg(self) -> tuple[Formula, int]:
         token = self.stream.peek()
         if token.kind == "(":
             return self.parenthesized(self.set_union)
@@ -654,7 +654,7 @@ class _FormulaParser:
         # Predicates never take arguments in set position, so a following
         # '(' can only open the next quantifier argument.
         if name.text in self.model.predicates:
-            return PredSet(name.text), 0
+            return Atom(name.text, VAR), 0
         if name.text not in self.model.relations:
             raise UnknownNameError(name.text, "predicate or relation", _position(name))
         if self.stream.peek().kind != "(":
@@ -681,10 +681,10 @@ class _FormulaParser:
                 f"needs {_count(arity - 1, 'bound argument')}, "
                 f"got {len(bound)} {_position(name)}"
             )
-        return PartialRel(name.text, tuple(bound)), 0
+        return RelAtom(name.text, (*bound, VAR)), 0
 
-    def set_union(self) -> tuple[SetExpr, int]:
-        return self.chain(self.set_intersect, "|", Union)
+    def set_union(self) -> tuple[Formula, int]:
+        return self.chain(self.set_intersect, "|", Or)
 
 
 def parse_formula(text: str, m: Model) -> Formula:
@@ -695,9 +695,9 @@ def parse_formula(text: str, m: Model) -> Formula:
 # ---------------------------------------------------------------------------
 # Formula printing
 
-_PRECEDENCE = {Implies: 1, Or: 2, Union: 2, And: 3, Intersect: 3, Not: 4}
+_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4}
 _ATOM_PRECEDENCE = 5
-_SYMBOLS = {Implies: "->", Or: "|", Union: "|", And: "&", Intersect: "&"}
+_SYMBOLS = {Implies: "->", Or: "|", And: "&"}
 
 
 def _precedence(f: Formula) -> int:
@@ -707,9 +707,9 @@ def _precedence(f: Formula) -> int:
 def _format_formula(f: Formula) -> str:
     match f:
         case Atom(pred, arg):
-            return f"{pred}({arg})"
+            return pred if arg is VAR else f"{pred}({arg})"
         case RelAtom(rel, args):
-            return f"{rel}({', '.join(args)})"
+            return f"{rel}({', '.join('_' if a is VAR else a for a in args)})"
         case Not(body):
             inner = _format_formula(body)
             if _precedence(body) < _PRECEDENCE[Not]:
@@ -718,30 +718,19 @@ def _format_formula(f: Formula) -> str:
         case And(left, right) | Or(left, right) | Implies(left, right):
             return _format_binary(f, _format_formula(left), _format_formula(right))
         case ForAll(subset, superset):
-            return f"all {_format_set_arg(subset)} {_format_set_arg(superset)}"
+            return f"all {_format_operand(subset)} {_format_operand(superset)}"
         case Exists(body):
-            return f"exists {_format_set_arg(body)}"
+            return f"exists {_format_operand(body)}"
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _format_set_arg(e: SetExpr) -> str:
-    if isinstance(e, (Intersect, Union)):
-        return f"({_format_set_expr(e)})"
-    return _format_set_expr(e)
+def _format_operand(f: Formula) -> str:
+    """A quantifier operand, parenthesized unless it is one application."""
+    text = _format_formula(f)
+    return text if isinstance(f, (Atom, RelAtom)) else f"({text})"
 
 
-def _format_set_expr(e: SetExpr) -> str:
-    match e:
-        case PredSet(name):
-            return name
-        case PartialRel(rel, bound):
-            return f"{rel}({', '.join(bound + ('_',))})"
-        case Intersect(left, right) | Union(left, right):
-            return _format_binary(e, _format_set_expr(left), _format_set_expr(right))
-    raise TypeError(f"not a set expression node: {e!r}")
-
-
-def _format_binary(f: Any, left_text: str, right_text: str) -> str:
+def _format_binary(f: Formula, left_text: str, right_text: str) -> str:
     """``&``, ``|`` or ``->`` between the printed operands of ``f``, with the
     parentheses precedence needs.  ``->`` groups to the right and the others
     to the left, so an operand of equal precedence on the other side is
@@ -758,7 +747,9 @@ def _format_binary(f: Any, left_text: str, right_text: str) -> str:
 def print_formula(f: Formula) -> str:
     """Canonical formula text with minimal parentheses.
 
-    The text re-parses to ``f`` when its nesting, counted as
+    An application to :data:`VAR` prints as a bare predicate name or with
+    ``_`` in its slot.  The text re-parses to ``f`` when ``f`` is a tree
+    :func:`parse_formula` can build and its nesting, counted as
     :func:`parse_formula` counts it, is at most :data:`MAX_DEPTH`; deeper
     text is a :class:`ParseError`.  A connective's parentheses add a level
     of their own, so the text can nest deeper than the AST.

@@ -115,3 +115,7 @@ class FormulaDepthError(TensorLogicError):
 
 class PlanTooLargeError(ElementCapError):
     """A plan load, named by its note, would exceed the element cap."""
+
+
+def _count(number: int, noun: str) -> str:
+    return f"{number} {noun}" + ("" if number == 1 else "s")

@@ -12,14 +12,16 @@ noted ``rel:loves(j,_)``; a full application then contracts that slice with
 the last argument's one-hot vector, as a predicate application does.  So no
 plan holds a relation tensor of rank above 2.
 
-A set expression is a formula with one free variable: a (2, n) matrix of
-truth columns.  A predicate set is the ``pred:`` matrix its applications
-load (no plan loads an (n, n) diagonal), and a partial application is its
-slice.  Every binary connective, between formulas or between set
-expressions, is one ``columnwise`` step with its connective tensor:
-out[a, ...] = sum_bc C[a, b, c] L[c, ...] R[b, ...], where a formula's (2,)
-truth vector is a single column.  Each quantifier operand's true row is
-read once, so ``forall`` and ``exists`` are a plan's only non-linear steps.
+A set expression is an open formula over ``dsl.VAR``, and lowers to a
+(2, n) matrix of truth columns: an application to ``VAR`` skips its one-hot
+contraction, so ``greek`` is the ``pred:`` matrix that ``greek(a)`` loads
+(no plan loads an (n, n) diagonal) and ``loves(j, _)`` is its slice.  Every
+binary connective is one ``columnwise`` step with its connective tensor:
+out[a, ...] = sum_bc C[a, b, c] L[c, ...] R[b, ...], where a closed
+formula's (2,) truth vector is a single column; its operands must have one
+shape, and a quantifier operand must be (2, n).  Each quantifier operand's
+true row is read once, so ``forall`` and ``exists`` are a plan's only
+non-linear steps.
 
 The tensors a plan loads depend on the model alone, not on the formula that
 applies them.  Each one is built on first use and kept on the model under
@@ -35,8 +37,9 @@ step runs the set-vector check and the decision kernel of
 :mod:`tensorlogic.sets` straight on its operand registers.
 
 :func:`oracle_eval` is the independent referee: it evaluates the same bound
-AST directly over the model's sets with classical connective semantics and
-never touches a tensor.  :func:`equivalence_sweep` runs both paths over
+AST directly over the model's sets with classical connective semantics,
+under an assignment of ``VAR`` below a quantifier, and never touches a
+tensor.  :func:`equivalence_sweep` runs both paths over
 generated instances and reports every disagreement and every instance whose
 tensor path exceeds the element cap, dumping model/formula files for
 disagreements when given an artifact directory.
@@ -47,7 +50,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +61,7 @@ from .errors import (
     FormulaDepthError,
     InvalidTruthValueError,
     PlanTooLargeError,
+    TensorLogicError,
 )
 from .model import Model, TruthVec, _set_bits, encode_atom, truth_bot, truth_top
 from .sets import _TRUE_ROW_PROBE, _nonempty, _operands, _subset
@@ -101,16 +105,12 @@ class ContractionPlan(NamedTuple):
 
 
 #: The constant loads of a plan, as ``(note, tensor)`` pairs built once: the
-#: connective tensor of each connective node, in both calculi ...
+#: connective tensor of each connective node ...
 _CONNECTIVES = {
     node: (f"conn:{kind}", connective_tensor(kind).tensor)
-    for kind, nodes in [
-        ("and", (dsl.And, dsl.Intersect)),
-        ("or", (dsl.Or, dsl.Union)),
-        ("implies", (dsl.Implies,)),
-        ("not", (dsl.Not,)),
+    for kind, node in [
+        ("and", dsl.And), ("or", dsl.Or), ("implies", dsl.Implies), ("not", dsl.Not)
     ]
-    for node in nodes
 }
 #: ... and the probe that reads a quantifier operand's true row.
 _PROBE = ("true-row-probe", _TRUE_ROW_PROBE)
@@ -162,6 +162,12 @@ class _PlanBuilder:
         self.steps.append(_new_tuple(Instr, (op, reg, srcs, None, "")))
         return reg
 
+    def expect(self, reg: int, shape: tuple[int, ...], what: str) -> int:
+        """Register ``reg``, which must have ``shape``."""
+        if self.shapes[reg] != shape:
+            raise DimensionMismatchError(f"{what} has shape {self.shapes[reg]}, expected {shape}")
+        return reg
+
     def contract(self, a: int, b: int) -> int:
         left, right = self.shapes[a], self.shapes[b]
         if left[-1] != right[0]:
@@ -175,9 +181,10 @@ class _PlanBuilder:
         note, tensor = constant
         return self.load(note, tensor.size, _constant, tensor)
 
-    def columnwise(self, node: Any, a: int, b: int) -> int:
+    def columnwise(self, node: dsl.Formula, a: int, b: int) -> int:
         """One step combining registers ``a`` and ``b``, the lowered operands
         of binary ``node``, column by column with its connective tensor."""
+        self.expect(b, self.shapes[a], "right operand of a connective")
         t = self.load_constant(_CONNECTIVES[type(node)])
         return self.emit("columnwise", (t, a, b), self.shapes[a])
 
@@ -187,11 +194,16 @@ class _PlanBuilder:
 
     def load_slice(self, rel: str, bound: tuple[str, ...]) -> int:
         """Load the (2, n) slice of ``rel`` with its first arguments ``bound``."""
+        if dsl.VAR in bound:
+            raise TensorLogicError(f"the open slot of {rel!r} must be its last argument")
         note = f"rel:{rel}({','.join(bound + ('_',))})"
         return self.load(note, 2 * self.n, _relation_slice, self.model, rel, bound)
 
-    def apply(self, reg: int, arg: str) -> int:
-        """Contract register ``reg`` with the one-hot vector of atom ``arg``."""
+    def apply(self, reg: int, arg: str | dsl._Variable) -> int:
+        """Contract register ``reg`` with the one-hot vector of atom ``arg``;
+        an application to ``VAR`` keeps the (2, n) matrix ``reg``."""
+        if arg is dsl.VAR:
+            return reg
         atom = self.load(f"atom:{arg}", self.n, encode_atom, self.model, arg)
         return self.contract(reg, atom)
 
@@ -213,21 +225,10 @@ class _PlanBuilder:
                 return self.emit("exists", (self.lower_operand(body),), (2,))
         raise TypeError(f"not a formula node: {f!r}")
 
-    def lower_operand(self, e: dsl.SetExpr) -> int:
+    def lower_operand(self, f: dsl.Formula) -> int:
         """The true row of a quantifier operand's (2, n) matrix."""
-        matrix = self.lower_set(e)
+        matrix = self.expect(self.lower_formula(f), (2, self.n), "quantifier operand")
         return self.contract(self.load_constant(_PROBE), matrix)
-
-    def lower_set(self, e: dsl.SetExpr) -> int:
-        """The (2, n) truth matrix of a set expression over the domain."""
-        match e:
-            case dsl.PredSet(name):
-                return self.load_predicate(name)
-            case dsl.PartialRel(rel, bound):
-                return self.load_slice(rel, bound)
-            case dsl.Intersect(left, right) | dsl.Union(left, right):
-                return self.columnwise(e, self.lower_set(left), self.lower_set(right))
-        raise TypeError(f"not a set expression node: {e!r}")
 
 
 def compile_formula(
@@ -239,10 +240,7 @@ def compile_formula(
         result = builder.lower_formula(f)
     except RecursionError:
         raise FormulaDepthError("formula nests too deep to compile") from None
-    if builder.shapes[result] != (2,):
-        raise DimensionMismatchError(
-            f"plan result register has shape {builder.shapes[result]}, expected (2,)"
-        )
+    builder.expect(result, (2,), "plan result register")
     return _new_tuple(ContractionPlan, (tuple(builder.steps), result, tuple(builder.shapes)))
 
 
@@ -304,56 +302,56 @@ def evaluate(f: dsl.Formula, m: Model, *, cap: int = DEFAULT_ELEMENT_CAP) -> Tru
 # Set-theoretic oracle: no tensors anywhere below this line.
 
 
-def oracle_set_eval(e: dsl.SetExpr, m: Model) -> frozenset[int]:
-    """The set of atom indices denoted by a set expression, computed directly."""
+def oracle_set_eval(f: dsl.Formula, m: Model) -> frozenset[int]:
+    """The atom indices ``{x | f holds at x}`` of an open formula, computed directly."""
     try:
-        return _oracle_set(e, m)
-    except RecursionError:
-        raise FormulaDepthError("set expression nests too deep for the oracle") from None
-
-
-def _oracle_set(e: dsl.SetExpr, m: Model) -> frozenset[int]:
-    match e:
-        case dsl.PredSet(name):
-            return m.predicate_extension(name)
-        case dsl.PartialRel(rel, bound):
-            decl = m.relation_decl(rel)
-            prefix = tuple(m.atom_index(b) for b in bound)
-            return frozenset(tup[-1] for tup in decl.tuples if tup[:-1] == prefix)
-        case dsl.Intersect(left, right):
-            return _oracle_set(left, m) & _oracle_set(right, m)
-        case dsl.Union(left, right):
-            return _oracle_set(left, m) | _oracle_set(right, m)
-    raise TypeError(f"not a set expression node: {e!r}")
-
-
-def oracle_eval(f: dsl.Formula, m: Model) -> bool:
-    """Classical truth value of a bound formula, straight off the model's sets."""
-    try:
-        return _oracle_truth(f, m)
+        return frozenset(x for x in range(m.domain_size) if _oracle_truth(f, m, x))
     except RecursionError:
         raise FormulaDepthError("formula nests too deep for the oracle") from None
 
 
-def _oracle_truth(f: dsl.Formula, m: Model) -> bool:
+def oracle_eval(f: dsl.Formula, m: Model) -> bool:
+    """Classical truth value of a bound formula, straight off the model's sets;
+    ``VAR`` outside every quantifier is a :class:`DimensionMismatchError`."""
+    try:
+        return _oracle_truth(f, m, None)
+    except RecursionError:
+        raise FormulaDepthError("formula nests too deep for the oracle") from None
+
+
+def _assigned(x: int | None) -> int:
+    """The atom index assigned to ``VAR``: ``x``, unless there is none."""
+    if x is None:
+        raise DimensionMismatchError("VAR is outside every quantifier")
+    return x
+
+
+def _oracle_truth(f: dsl.Formula, m: Model, x: int | None) -> bool:
+    """Whether ``f`` holds with ``VAR`` assigned atom index ``x``.
+
+    A connective evaluates both operands, so ``VAR`` outside every
+    quantifier is refused wherever it sits.
+    """
     match f:
         case dsl.Atom(pred, arg):
-            return m.atom_index(arg) in m.predicate_extension(pred)
+            i = _assigned(x) if arg is dsl.VAR else m.atom_index(arg)
+            return i in m.predicate_extension(pred)
         case dsl.RelAtom(rel, args):
-            indices = tuple(m.atom_index(a) for a in args)
+            indices = tuple(_assigned(x) if a is dsl.VAR else m.atom_index(a) for a in args)
             return indices in m.relation_decl(rel).tuples
         case dsl.Not(body):
-            return not _oracle_truth(body, m)
+            return not _oracle_truth(body, m, x)
         case dsl.And(left, right):
-            return _oracle_truth(left, m) and _oracle_truth(right, m)
+            return _oracle_truth(left, m, x) & _oracle_truth(right, m, x)
         case dsl.Or(left, right):
-            return _oracle_truth(left, m) or _oracle_truth(right, m)
+            return _oracle_truth(left, m, x) | _oracle_truth(right, m, x)
         case dsl.Implies(left, right):
-            return (not _oracle_truth(left, m)) or _oracle_truth(right, m)
+            return (not _oracle_truth(left, m, x)) | _oracle_truth(right, m, x)
         case dsl.ForAll(subset, superset):
-            return _oracle_set(subset, m) <= _oracle_set(superset, m)
+            domain = range(m.domain_size)
+            return all(_oracle_truth(superset, m, y) for y in domain if _oracle_truth(subset, m, y))
         case dsl.Exists(body):
-            return len(_oracle_set(body, m)) > 0
+            return any(_oracle_truth(body, m, y) for y in range(m.domain_size))
     raise TypeError(f"not a formula node: {f!r}")
 
 

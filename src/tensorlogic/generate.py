@@ -49,7 +49,7 @@ def random_model(rng: random.Random, max_domain: int = 5) -> Model:
     return Model.from_names(atom_names, predicates, {"r0": (arity, tuples)})
 
 
-def random_set_expr(rng: random.Random, m: Model, max_depth: int = 2) -> dsl.SetExpr:
+def random_set_expr(rng: random.Random, m: Model, max_depth: int = 2) -> dsl.Formula:
     leaf_kinds = []
     if m.predicates:
         leaf_kinds.append("pred")

@@ -36,6 +36,7 @@ from .errors import (
     ElementCapError,
     InvalidPredicateError,
     NonOneHotError,
+    _count,
 )
 from .model import Model, TruthVec
 from .tensor import DEFAULT_ELEMENT_CAP, FLOAT_TOL, Tensor, _snap01, contract
@@ -221,8 +222,8 @@ def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Predica
     decl = m.relation_decl(name)
     if len(bound) != decl.arity - 1:
         raise ArityError(
-            f"a slice of {name!r} (arity {decl.arity}) binds {decl.arity - 1} "
-            f"arguments, got {len(bound)}"
+            f"a slice of {name!r} (arity {decl.arity}) binds "
+            f"{_count(decl.arity - 1, 'argument')}, got {len(bound)}"
         )
     prefix = tuple(m.atom_index(b) for b in bound)
     k = len(prefix)

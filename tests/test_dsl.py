@@ -23,6 +23,7 @@ from tensorlogic.dsl import (
     RelAtom,
     MAX_DEPTH,
     Union,
+    VAR,
     parse_formula,
     parse_model,
     print_formula,
@@ -30,6 +31,7 @@ from tensorlogic.dsl import (
 )
 from tensorlogic.errors import (
     ArityError,
+    DimensionMismatchError,
     DuplicateNameError,
     EmbeddedQuantifierError,
     FormulaDepthError,
@@ -38,7 +40,7 @@ from tensorlogic.errors import (
     UnknownAtomError,
     UnknownNameError,
 )
-from tensorlogic.evaluator import evaluate, oracle_eval, oracle_set_eval
+from tensorlogic.evaluator import compile_formula, evaluate, oracle_eval, oracle_set_eval
 from tensorlogic.generate import random_formula, random_model
 from tensorlogic.model import Model
 from tests.conftest import BROWN_DOG_TEXT, GREEK_TEXT, LOVES_TEXT, MATHEMATICIAN_TEXT
@@ -313,19 +315,35 @@ class TestPrintFormula:
             assert print_formula(f) == text
             assert parse_formula(print_formula(f), brown_dog_model) == f
 
+    # An open formula, one over VAR, stands only as a quantifier operand, and
+    # an operand is always one: compile refuses any other tree.  The oracle
+    # refuses VAR outside every quantifier and answers any other tree as
+    # first-order logic does.
     @pytest.mark.parametrize(
-        "f",
+        "f, error, oracle",
         [
-            Intersect(PredSet("brown"), PredSet("dog")),
-            Not(Union(PredSet("brown"), PredSet("dog"))),
-            Exists(And(Atom("brown", "a"), Atom("dog", "a"))),
-            ForAll(PredSet("dog"), Union(PredSet("brown"), Or(Atom("dog", "a"), Atom("dog", "b")))),
+            (Intersect(PredSet("brown"), PredSet("dog")), DimensionMismatchError, None),
+            (Not(Union(PredSet("brown"), PredSet("dog"))), DimensionMismatchError, None),
+            (Exists(And(Atom("brown", "a"), Atom("dog", "a"))), DimensionMismatchError, False),
+            (ForAll(PredSet("dog"),
+                    Union(PredSet("brown"), Or(Atom("dog", "a"), Atom("dog", "b")))),
+             DimensionMismatchError, True),
+            (Exists(RelAtom("near", (VAR, "b"))), TensorLogicError, True),
         ],
-        ids=["set-as-formula", "set-under-not", "formula-as-set", "formula-under-union"],
+        ids=["set-as-formula", "set-under-not", "formula-as-set", "formula-under-union",
+             "open-slot-not-last"],
     )
-    def test_a_node_of_the_other_sort_is_a_type_error(self, f):
-        with pytest.raises(TypeError):
-            print_formula(f)
+    def test_a_tree_compile_cannot_shape_is_refused(self, f, error, oracle):
+        m = parse_model(BROWN_DOG_TEXT + "rel near/2: (a, b)\n")
+        for call in (compile_formula, evaluate):
+            with pytest.raises(error):
+                call(f, m)
+        assert not any(key.startswith("rel:") for key in m._tensors)
+        if oracle is None:
+            with pytest.raises(DimensionMismatchError):
+                oracle_eval(f, m)
+        else:
+            assert oracle_eval(f, m) is oracle
 
     def test_round_trip_1000_random_formulas(self):
         rng = random.Random(73)
@@ -336,19 +354,26 @@ class TestPrintFormula:
             assert parse_formula(printed, m) == f, printed
 
     def test_all_grammar_productions_reachable(self):
+        # Each node type, and each kind of application, closed and open, and
+        # each connective under a quantifier.
         rng = random.Random(79)
         needed = {
-            Atom, RelAtom, Not, And, Or, Implies, ForAll, Exists,
-            PredSet, PartialRel, Intersect, Union,
-        }
+            (node, False) for node in (Atom, RelAtom, Not, And, Or, Implies, ForAll, Exists)
+        } | {(Atom, True), (RelAtom, True), (And, True), (Or, True)}
         seen = set()
 
-        def visit(node):
-            seen.add(type(node))
+        def visit(node, quantified=False):
+            if isinstance(node, Atom):
+                seen.add((Atom, node.arg is VAR))
+            elif isinstance(node, RelAtom):
+                seen.add((RelAtom, node.args[-1] is VAR))
+            else:
+                seen.add((type(node), quantified))
+            quantified |= isinstance(node, (ForAll, Exists))
             for attr in ("body", "left", "right", "subset", "superset"):
                 child = getattr(node, attr, None)
-                if child is not None and type(child) in needed:
-                    visit(child)
+                if child is not None:
+                    visit(child, quantified)
 
         for _ in range(2000):
             m = random_model(rng, max_domain=3)

@@ -290,6 +290,8 @@ def columnwise_step(plan: ContractionPlan, kind: str) -> Instr:
         ("or", Or, None),
         ("implies", Implies, None),
     ],
+    ids=["and-Intersect-minimum", "or-Union-maximum", "and-And-None", "or-Or-None",
+         "implies-Implies-None"],
 )
 def test_columnwise_is_the_connective_at_every_column(n, kind, node, setop):
     """Column j of a set combination, and a formula connective between the

@@ -15,6 +15,7 @@ import random
 import numpy as np
 import pytest
 
+from tensorlogic import dsl
 from tensorlogic.cli import main
 from tensorlogic.dsl import (
     And,
@@ -28,7 +29,6 @@ from tensorlogic.dsl import (
     PartialRel,
     PredSet,
     RelAtom,
-    Union,
 )
 from tensorlogic.errors import ArityError, PlanTooLargeError
 from tensorlogic.evaluator import compile_formula, evaluate, execute, oracle_eval
@@ -106,14 +106,15 @@ def dense_evaluate(f, m: Model):
 
 
 def dense_set(e, m: Model) -> SetVector:
+    """The set of an open formula over VAR, by the dense set-side API."""
     match e:
-        case PredSet(name):
+        case Atom(name, dsl.VAR):
             return predicate_vector(build_set_predicate(m, name))
-        case PartialRel(rel, bound):
-            return SetVector(contract(_TRUE_ROW_PROBE, dense_slice(m, rel, bound).tensor))
-        case Intersect(left, right):
+        case RelAtom(rel, (*bound, dsl.VAR)):
+            return SetVector(contract(_TRUE_ROW_PROBE, dense_slice(m, rel, tuple(bound)).tensor))
+        case And(left, right):
             return intersect(dense_set(left, m), dense_set(right, m))
-        case Union(left, right):
+        case Or(left, right):
             return union(dense_set(left, m), dense_set(right, m))
     raise TypeError(f"not a set expression node: {e!r}")
 
@@ -223,6 +224,10 @@ def test_a_slice_binds_every_argument_but_the_last():
     with pytest.raises(ArityError):
         compile_formula(Exists(PartialRel("r", ("a", "b", "a"))), m)
     assert not m._tensors
+    m = Model.from_names(["a", "b"], relations={"r": (2, [("a", "b")])})
+    with pytest.raises(ArityError) as info:
+        compile_formula(Exists(PartialRel("r", ("a", "b"))), m)
+    assert str(info.value) == "a slice of 'r' (arity 2) binds 1 argument, got 2"
 
 
 def test_describe_shows_the_slice_note(loves_model):
