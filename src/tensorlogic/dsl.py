@@ -12,15 +12,16 @@ Formulas are whitespace-insensitive.  Connective precedence from tightest to
 loosest is ``~``, ``&``, ``|``, ``->``; the arrow is right-associative, the
 other binaries left-associative::
 
-    formula   := 'all' setarg setarg | 'exists' setarg | implies
-    implies   := or ('->' implies)?
-    or        := and ('|' and)*
-    and       := unary ('&' unary)*
-    unary     := '~' unary | primary
-    primary   := name '(' name (',' name)* ')' | '(' implies ')'
-    setarg    := predname | relname '(' (name ',')* '_' ')' | '(' setexpr ')'
-    setexpr   := setand ('|' setand)*
-    setand    := setarg ('&' setarg)*
+    formula    := implies
+    implies    := or ('->' implies)?
+    or         := and ('|' and)*
+    and        := unary ('&' unary)*
+    unary      := '~' unary | primary
+    primary    := quantifier | name '(' name (',' name)* ')' | '(' implies ')'
+    quantifier := 'all' setarg setarg | 'exists' setarg
+    setarg     := predname | relname '(' (name ',')* '_' ')' | '(' setexpr ')'
+    setexpr    := setand ('|' setand)*
+    setand     := setarg ('&' setarg)*
 
 Predicate and relation namespaces are disjoint, so the parser can tell a bare
 predicate name from a relation application in set position without lookahead.
@@ -29,8 +30,9 @@ Set expressions appear only under the two quantifier keywords; a compound set
 expression in argument position must be parenthesized, e.g.
 ``exists (brown & dog)``.  Partial application of a relation leaves exactly
 one open slot, written ``_`` in the last argument position, e.g.
-``exists loves(john, _)`` for "there is someone John loves".  Quantifiers are
-only legal at the very top of a formula; anywhere else they raise
+``exists loves(john, _)`` for "there is someone John loves".  A quantified
+formula is a formula like any other, so ``~all greek human`` and
+``p(a) & exists q`` parse; a quantifier inside a set expression raises
 :class:`EmbeddedQuantifierError`.
 
 The AST has one sort.  A set expression is an open formula over the one free
@@ -41,8 +43,9 @@ between formulas.  :func:`PredSet`, :func:`PartialRel`, ``Intersect`` and
 ``Union`` are shorthands that build those nodes.
 
 A formula nests at most :data:`MAX_DEPTH` levels deep, counting every
-connective and every pair of parentheses around its deepest atom; deeper text
-is a :class:`ParseError` at the token that crosses the limit.
+connective and every pair of parentheses around its deepest atom, but no
+quantifier; deeper text is a :class:`ParseError` at the token that crosses
+the limit.
 
 Model text is accepted statement by statement by whole-line patterns, and
 the token parser reports every error: text that any pattern does not take is
@@ -501,7 +504,8 @@ class _FormulaParser:
 
     Every production returns its node with its depth: the largest number of
     connectives and parenthesis pairs around any one atom in it, so
-    ``p(a)`` has depth 0 and ``~(p(a) & p(a))`` depth 3.  A depth above
+    ``p(a)`` has depth 0 and ``~(p(a) & p(a))`` depth 3.  A quantifier adds
+    no level: ``~exists (p & q)`` has depth 3.  A depth above
     :data:`MAX_DEPTH` is a :class:`ParseError` at the token that crosses it.
     The binary chains are loops, but ``~``, ``->`` and parentheses recurse,
     so ``open`` counts those entered and the descent stops at the limit,
@@ -518,17 +522,7 @@ class _FormulaParser:
         self.set_intersect = partial(self.chain, self.set_arg, "&", And)
 
     def parse(self) -> Formula:
-        token = self.stream.peek()
-        if token.kind == "name" and token.text in ("all", "exists"):
-            self.stream.advance()
-            if token.text == "all":
-                subset, _ = self.set_arg()
-                superset, _ = self.set_arg()
-                formula: Formula = ForAll(subset, superset)
-            else:
-                formula = Exists(self.set_arg()[0])
-        else:
-            formula, _ = self.implies()
+        formula, _ = self.implies()
         trailing = self.stream.peek()
         if trailing.kind != "eof":
             raise ParseError(
@@ -598,11 +592,12 @@ class _FormulaParser:
         if token.kind == "(":
             return self.parenthesized(self.implies)
         if token.kind == "name" and token.text in ("all", "exists"):
-            raise EmbeddedQuantifierError(
-                f"quantifier {token.text!r} is only allowed at the root of a formula",
-                token.line,
-                token.column,
-            )
+            self.stream.advance()
+            subset, depth = self.set_arg()
+            if token.text == "exists":
+                return Exists(subset), depth
+            superset, superset_depth = self.set_arg()
+            return ForAll(subset, superset), max(depth, superset_depth)
         name = _expect_name(self.stream, "a predicate or relation application")
         self.stream.expect("(", "'(' after a predicate or relation name")
         args = [self.atom_name()]

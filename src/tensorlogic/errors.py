@@ -102,7 +102,7 @@ class ParseError(TensorLogicError):
 
 
 class EmbeddedQuantifierError(ParseError):
-    """A quantifier appeared somewhere other than the root of a formula."""
+    """A quantifier appeared inside a set expression."""
 
 
 class FormulaDepthError(TensorLogicError):

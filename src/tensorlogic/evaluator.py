@@ -23,12 +23,14 @@ shape, and a quantifier operand must be (2, n).  Each quantifier operand's
 true row is read once, so ``forall`` and ``exists`` are a plan's only
 non-linear steps.
 
-The tensors a plan loads depend on the model alone, not on the formula that
-applies them.  Each one is built on first use and kept on the model under
-its load note, so every plan over one model loads the same read-only
-objects.  A relation of arity k has at most n^(k-1) slices, one per bound
-prefix, so its slices in that memo never hold more than the 2 n^k elements
-of its dense tensor.  Every load is checked against the element cap before
+A tensor a plan loads depends on its load note and the model, not on the
+formula that applies it.  Each one is kept on the model under its load note
+the first time a plan loads it, so every plan over one model loads the same
+read-only objects.  That memo holds the constant loads too (the connective
+tensors and the true-row probe), each the one copy built at import.  A
+relation of arity k has at most n^(k-1) slices, one per bound prefix, so its
+slices in that memo never hold more than the 2 n^k elements of its dense
+tensor.  Every load is checked against the element cap before
 the memo is read, and the dimension preconditions of every step are checked
 at compile time from the model's domain size.  :func:`execute` therefore
 runs the steps directly on the payloads' read-only ndarrays, and reads its

@@ -90,7 +90,7 @@ def signature_models(domain_size):
     ]
 
 
-# A one-atom model, and six ways to write a formula over it that nests
+# A one-atom model, and seven ways to write a formula over it that nests
 # ``depth`` levels deep: name -> (text of that depth, its truth value).
 ONE_ATOM_TEXT = "domain a\npred p: a\n"
 DEEP_SHAPES = {
@@ -100,6 +100,10 @@ DEEP_SHAPES = {
     "or": lambda d: (" | ".join(["p(a)"] * (d + 1)), True),
     "implies": lambda d: (" -> ".join(["p(a)"] * (d + 1)), True),
     "exists": lambda d: ("exists (" + " & ".join(["p"] * d) + ")", True),
+    # A quantifier under connectives adds no level of its own.
+    "not-exists": lambda d: (
+        "~" * (d // 2) + "exists (" + " & ".join(["p"] * (d - d // 2)) + ")", d // 2 % 2 == 0
+    ),
 }
 
 

@@ -247,15 +247,30 @@ class TestParseFormula:
         assert type(info.value) is error
         assert str(info.value) == message
 
-    def test_embedded_quantifiers_rejected(self, greek_model):
-        for text in (
-            "~all greek human",
-            "greek(socrates) & exists greek",
-            "(all greek human)",
-            "all (all greek human) human",
-        ):
-            with pytest.raises(EmbeddedQuantifierError):
-                parse_formula(text, greek_model)
+    @pytest.mark.parametrize(
+        "text, tree, printed, truth",
+        [
+            ("~all greek human", Not(ForAll(PredSet("greek"), PredSet("human"))),
+             "~all greek human", False),
+            ("greek(socrates) & exists greek",
+             And(Atom("greek", "socrates"), Exists(PredSet("greek"))),
+             "greek(socrates) & exists greek", True),
+            ("(all greek human)", ForAll(PredSet("greek"), PredSet("human")),
+             "all greek human", True),
+        ],
+        ids=["under-not", "under-and", "parenthesized"],
+    )
+    def test_a_quantifier_is_a_formula(self, greek_model, text, tree, printed, truth):
+        f = parse_formula(text, greek_model)
+        assert f == tree
+        assert print_formula(f) == printed
+        assert evaluate(f, greek_model).as_bool() is truth is oracle_eval(f, greek_model)
+
+    def test_a_quantifier_inside_a_set_expression_is_refused(self, greek_model):
+        with pytest.raises(EmbeddedQuantifierError) as info:
+            parse_formula("all (all greek human) human", greek_model)
+        assert info.value.bare_message == "quantifiers cannot be nested inside set expressions"
+        assert (info.value.line, info.value.column) == (1, 6)
 
     def test_open_slot_must_be_last(self, loves_model):
         with pytest.raises(ParseError):
@@ -586,12 +601,13 @@ class TestDepthLimit:
         assert evaluate(f, m).as_bool() is truth is oracle_eval(f, m)
 
     # One level past the limit, the error points at the token that crosses
-    # it: the 101st '~', '(' or '->', the 101st '&' or '|' of a chain, and
-    # for ``exists (p & ... & p)`` the parenthesis around its 100 '&'.
+    # it: the 101st '~', '(' or '->', the 101st '&' or '|' of a chain, for
+    # ``exists (p & ... & p)`` the parenthesis around its 100 '&', and for
+    # ``~...~exists (...)`` the outermost '~', since a quantifier adds no level.
     @pytest.mark.parametrize(
         "shape,column",
         [("not", 101), ("parens", 101), ("and", 706), ("or", 706), ("implies", 806),
-         ("exists", 8)],
+         ("exists", 8), ("not-exists", 1)],
     )
     def test_one_past_the_limit_is_a_positioned_error(self, shape, column):
         text, _ = DEEP_SHAPES[shape](MAX_DEPTH + 1)
