@@ -19,28 +19,29 @@ other binaries left-associative::
     unary      := '~' unary | primary
     primary    := quantifier | name '(' name (',' name)* ')' | '(' implies ')'
     quantifier := 'all' setarg setarg | 'exists' setarg
-    setarg     := predname | relname '(' (name ',')* '_' ')' | '(' setexpr ')'
-    setexpr    := setand ('|' setand)*
-    setand     := setarg ('&' setarg)*
+    setarg     := predname | relname '(' (name ',')* '_' ')' | '(' implies ')'
 
 Predicate and relation namespaces are disjoint, so the parser can tell a bare
 predicate name from a relation application in set position without lookahead.
 
-Set expressions appear only under the two quantifier keywords; a compound set
-expression in argument position must be parenthesized, e.g.
-``exists (brown & dog)``.  Partial application of a relation leaves exactly
-one open slot, written ``_`` in the last argument position, e.g.
-``exists loves(john, _)`` for "there is someone John loves".  A quantified
-formula is a formula like any other, so ``~all greek human`` and
-``p(a) & exists q`` parse; a quantifier inside a set expression raises
-:class:`EmbeddedQuantifierError`.
+A quantifier's operand, its set expression, is one ``setarg``: a predicate
+name, a relation with exactly one open slot, written ``_`` in the last
+argument position, or a formula in parentheses.  ``exists loves(john, _)``
+is "there is someone John loves".  Inside the parentheses ``~``, ``&``,
+``|`` and ``->`` work as they do anywhere, but every name is read as a
+``setarg`` and a quantifier raises :class:`EmbeddedQuantifierError`, so
+``exists (greek & ~human)`` and ``all greek (human | ~mortal)`` parse, and a
+compound operand needs its parentheses: ``exists ~greek`` is an error.  A
+quantified formula is a formula like any other, so ``~all greek human`` and
+``p(a) & exists q`` parse.
 
 The AST has one sort.  A set expression is an open formula over the one free
 variable :data:`VAR`: ``greek`` in set position is ``Atom("greek", VAR)``,
-``loves(john, _)`` is ``RelAtom("loves", ("john", VAR))``, and ``&`` and
-``|`` between set expressions build :class:`And` and :class:`Or`, as they do
-between formulas.  :func:`PredSet`, :func:`PartialRel`, ``Intersect`` and
-``Union`` are shorthands that build those nodes.
+``loves(john, _)`` is ``RelAtom("loves", ("john", VAR))``, and the
+connectives in a set expression build :class:`Not`, :class:`And`,
+:class:`Or` and :class:`Implies`, as they do between formulas.
+:func:`PredSet`, :func:`PartialRel`, ``Intersect`` and ``Union`` are
+shorthands that build those nodes.
 
 A formula nests at most :data:`MAX_DEPTH` levels deep, counting every
 connective and every pair of parentheses around its deepest atom, but no
@@ -516,10 +517,12 @@ class _FormulaParser:
         self.stream = stream
         self.model = m
         self.open = 0
-        # The tighter chain of each layer, bound here so that a level of
-        # nesting costs no extra stack frame for it.
+        # Whether the descent is inside a quantifier's operand, where a name
+        # is a set and a quantifier is refused.
+        self.in_operand = False
+        # The tighter chain, bound here so that a level of nesting costs no
+        # extra stack frame for it.
         self.and_chain = partial(self.chain, self.unary, "&", And)
-        self.set_intersect = partial(self.chain, self.set_arg, "&", And)
 
     def parse(self) -> Formula:
         formula, _ = self.implies()
@@ -592,12 +595,22 @@ class _FormulaParser:
         if token.kind == "(":
             return self.parenthesized(self.implies)
         if token.kind == "name" and token.text in ("all", "exists"):
+            if self.in_operand:
+                raise EmbeddedQuantifierError(
+                    "quantifiers cannot be nested inside set expressions", token.line, token.column
+                )
             self.stream.advance()
-            subset, depth = self.set_arg()
+            self.in_operand = True
+            subset, depth = self.primary()
             if token.text == "exists":
-                return Exists(subset), depth
-            superset, superset_depth = self.set_arg()
-            return ForAll(subset, superset), max(depth, superset_depth)
+                node = Exists(subset)
+            else:
+                superset, superset_depth = self.primary()
+                node, depth = ForAll(subset, superset), max(depth, superset_depth)
+            self.in_operand = False
+            return node, depth
+        if self.in_operand:
+            return self.set_name()
         name = _expect_name(self.stream, "a predicate or relation application")
         self.stream.expect("(", "'(' after a predicate or relation name")
         args = [self.atom_name()]
@@ -635,16 +648,9 @@ class _FormulaParser:
 
     # -- set layer ---------------------------------------------------------
 
-    def set_arg(self) -> tuple[Formula, int]:
-        token = self.stream.peek()
-        if token.kind == "(":
-            return self.parenthesized(self.set_union)
-        if token.kind == "name" and token.text in ("all", "exists"):
-            raise EmbeddedQuantifierError(
-                "quantifiers cannot be nested inside set expressions",
-                token.line,
-                token.column,
-            )
+    def set_name(self) -> tuple[Formula, int]:
+        """A name in a quantifier's operand: a predicate's set, or a relation
+        with its last argument open."""
         name = _expect_name(self.stream, "a predicate or relation name")
         # Predicates never take arguments in set position, so a following
         # '(' can only open the next quantifier argument.
@@ -677,9 +683,6 @@ class _FormulaParser:
                 f"got {len(bound)} {_position(name)}"
             )
         return RelAtom(name.text, (*bound, VAR)), 0
-
-    def set_union(self) -> tuple[Formula, int]:
-        return self.chain(self.set_intersect, "|", Or)
 
 
 def parse_formula(text: str, m: Model) -> Formula:

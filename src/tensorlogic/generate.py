@@ -4,10 +4,11 @@ Models draw a domain size uniformly from [1, max_domain], put each atom in
 each predicate extension with probability 1/2, and fill relation extensions
 tuple-by-tuple with probability 1/2, so empty and full extensions both occur
 at usable rates.  Formulas are drawn over the model's declared names only,
-with quantifiers at the root and nowhere else: the grammar takes a quantifier
-under any connective, but the seed-151 stream of these draws is pinned by
-sha256, so the generator keeps the draws it has always made.  Every AST node
-type is producible.
+with quantifiers at the root and nowhere else, and set expressions built of
+``&`` and ``|`` alone: the grammar takes a quantifier under any connective
+and ``~`` and ``->`` in a set expression, but the seed-151 stream of these
+draws is pinned by sha256, so the generator keeps the draws it has always
+made.  Every AST node type is producible.
 """
 
 from __future__ import annotations

@@ -90,7 +90,7 @@ def signature_models(domain_size):
     ]
 
 
-# A one-atom model, and seven ways to write a formula over it that nests
+# A one-atom model, and eight ways to write a formula over it that nests
 # ``depth`` levels deep: name -> (text of that depth, its truth value).
 ONE_ATOM_TEXT = "domain a\npred p: a\n"
 DEEP_SHAPES = {
@@ -104,6 +104,8 @@ DEEP_SHAPES = {
     "not-exists": lambda d: (
         "~" * (d // 2) + "exists (" + " & ".join(["p"] * (d - d // 2)) + ")", d // 2 % 2 == 0
     ),
+    # A quantifier's parenthesized operand nests as a formula does.
+    "exists-not": lambda d: ("exists (" + "~" * (d - 1) + "p)", (d - 1) % 2 == 0),
 }
 
 

@@ -257,8 +257,23 @@ class TestParseFormula:
              "greek(socrates) & exists greek", True),
             ("(all greek human)", ForAll(PredSet("greek"), PredSet("human")),
              "all greek human", True),
+            # A quantifier's parenthesized operand is a formula over set
+            # names, so '~' and '->' work there as '&' and '|' do.
+            ("exists (human & ~greek)", Exists(And(PredSet("human"), Not(PredSet("greek")))),
+             "exists (human & ~greek)", True),
+            ("all greek (~human | greek)",
+             ForAll(PredSet("greek"), Or(Not(PredSet("human")), PredSet("greek"))),
+             "all greek (~human | greek)", True),
+            ("exists (greek -> ~human)", Exists(Implies(PredSet("greek"), Not(PredSet("human")))),
+             "exists (greek -> ~human)", True),
+            ("~all (~greek) human", Not(ForAll(Not(PredSet("greek")), PredSet("human"))),
+             "~all (~greek) human", False),
+            ("all human (~greek)", ForAll(PredSet("human"), Not(PredSet("greek"))),
+             "all human (~greek)", False),
         ],
-        ids=["under-not", "under-and", "parenthesized"],
+        ids=["under-not", "under-and", "parenthesized", "operand-complement",
+             "operand-complement-in-union", "operand-arrow", "operand-complement-as-subset",
+             "operand-complement-as-superset"],
     )
     def test_a_quantifier_is_a_formula(self, greek_model, text, tree, printed, truth):
         f = parse_formula(text, greek_model)
@@ -271,6 +286,22 @@ class TestParseFormula:
             parse_formula("all (all greek human) human", greek_model)
         assert info.value.bare_message == "quantifiers cannot be nested inside set expressions"
         assert (info.value.line, info.value.column) == (1, 6)
+
+    @pytest.mark.parametrize(
+        "text, error, message, column",
+        [
+            ("exists ~greek", ParseError, "expected a predicate or relation name, found '~'", 8),
+            ("exists (greek & exists human)", EmbeddedQuantifierError,
+             "quantifiers cannot be nested inside set expressions", 17),
+        ],
+        ids=["unparenthesized", "nested-quantifier"],
+    )
+    def test_quantifier_operands_stay_refused(self, greek_model, text, error, message, column):
+        with pytest.raises(error) as info:
+            parse_formula(text, greek_model)
+        assert type(info.value) is error
+        assert info.value.bare_message == message
+        assert (info.value.line, info.value.column) == (1, column)
 
     def test_open_slot_must_be_last(self, loves_model):
         with pytest.raises(ParseError):
@@ -602,12 +633,13 @@ class TestDepthLimit:
 
     # One level past the limit, the error points at the token that crosses
     # it: the 101st '~', '(' or '->', the 101st '&' or '|' of a chain, for
-    # ``exists (p & ... & p)`` the parenthesis around its 100 '&', and for
-    # ``~...~exists (...)`` the outermost '~', since a quantifier adds no level.
+    # ``exists (p & ... & p)`` the parenthesis around its 100 '&', for
+    # ``~...~exists (...)`` the outermost '~', since a quantifier adds no level,
+    # and for ``exists (~...~p)`` the 100th '~' inside the parenthesis.
     @pytest.mark.parametrize(
         "shape,column",
         [("not", 101), ("parens", 101), ("and", 706), ("or", 706), ("implies", 806),
-         ("exists", 8), ("not-exists", 1)],
+         ("exists", 8), ("not-exists", 1), ("exists-not", 108)],
     )
     def test_one_past_the_limit_is_a_positioned_error(self, shape, column):
         text, _ = DEEP_SHAPES[shape](MAX_DEPTH + 1)

@@ -274,6 +274,8 @@ class TestExhaustiveAgreement:
             "p(x1) -> r(x1, x1) | q(x0)",
             "all p q",
             "exists (p & r(x0, _))",
+            "exists (~p & r(x0, _))",
+            "all p (q -> r(x0, _))",
         ]
         for m in models:
             for text in battery_texts:

@@ -1,5 +1,6 @@
-"""Grammar-wide property: drawn formulas round-trip through text and agree
-with the oracle on the plan path and through ``tensorlogic eval``."""
+"""Grammar-wide property: drawn formulas round-trip through text, agree
+with the oracle on the plan path and through ``tensorlogic eval``, and give
+the dense evaluator's truth vector bit for bit."""
 
 import contextlib
 import io
@@ -25,6 +26,7 @@ from tensorlogic.dsl import (
 )
 from tensorlogic.evaluator import evaluate, oracle_eval
 from tensorlogic.model import Model
+from tests.test_relation_slices import bits, dense_evaluate
 
 PREDICATES = ("p", "q")
 
@@ -32,13 +34,13 @@ PREDICATES = ("p", "q")
 @st.composite
 def models(draw):
     """1-4 atoms, predicates ``p`` and ``q``, and one or two relations of
-    arity 2 or 3."""
+    arity 1 to 3."""
     atoms = [f"a{i}" for i in range(draw(st.integers(1, 4)))]
     members = st.lists(st.sampled_from(atoms), unique=True)
     predicates = {name: draw(members) for name in PREDICATES}
     relations = {}
     for name in ("r", "s")[: draw(st.integers(1, 2))]:
-        arity = draw(st.integers(2, 3))
+        arity = draw(st.integers(1, 3))
         tuples = draw(st.lists(st.tuples(*[st.sampled_from(atoms)] * arity), max_size=12))
         relations[name] = (arity, tuples)
     return Model.from_names(atoms, predicates, relations)
@@ -46,7 +48,8 @@ def models(draw):
 
 def formulas(m):
     """Closed formulas over ``m`` in which a quantified formula may stand
-    wherever an application can, under any connective."""
+    wherever an application can, under any connective, and a quantifier's
+    operands are open formulas under any connective."""
     atom = st.sampled_from(m.atom_names)
     arities = sorted((r, decl.arity) for r, decl in m.relations.items())
     applications = st.one_of(
@@ -57,33 +60,35 @@ def formulas(m):
         st.sampled_from(PREDICATES).map(PredSet),
         *(st.builds(PartialRel, st.just(r), st.tuples(*[atom] * (k - 1))) for r, k in arities),
     )
-    set_exprs = st.recursive(
-        set_leaves, lambda sub: st.builds(And, sub, sub) | st.builds(Or, sub, sub), max_leaves=3
-    )
+    set_exprs = st.recursive(set_leaves, connectives, max_leaves=3)
     quantified = st.builds(Exists, set_exprs) | st.builds(ForAll, set_exprs, set_exprs)
-    return st.recursive(
-        applications | quantified,
-        lambda sub: st.one_of(
-            st.builds(Not, sub),
-            st.builds(And, sub, sub),
-            st.builds(Or, sub, sub),
-            st.builds(Implies, sub, sub),
-        ),
-        max_leaves=6,
+    return st.recursive(applications | quantified, connectives, max_leaves=6)
+
+
+def connectives(sub):
+    """One connective over formulas drawn from ``sub``."""
+    return st.one_of(
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
     )
 
 
 def fully_parenthesized(f):
-    """Text for ``f`` with every connective's operands and every quantified
-    formula in parentheses, written without the printer."""
+    """Text for ``f`` with every connective's operands, every quantifier
+    operand and every quantified formula in parentheses, written without the
+    printer."""
     match f:
         case Not(body):
             return f"~({fully_parenthesized(body)})"
         case And(left, right) | Or(left, right) | Implies(left, right):
             op = {And: "&", Or: "|", Implies: "->"}[type(f)]
             return f"({fully_parenthesized(left)}) {op} ({fully_parenthesized(right)})"
-        case ForAll() | Exists():
-            return f"({print_formula(f)})"
+        case ForAll(subset, superset):
+            return f"(all ({fully_parenthesized(subset)}) ({fully_parenthesized(superset)}))"
+        case Exists(body):
+            return f"(exists ({fully_parenthesized(body)}))"
     return print_formula(f)
 
 
@@ -101,7 +106,9 @@ def test_drawn_formulas_round_trip_and_agree_with_the_oracle(model_path, data):
     assert parse_formula(text, m) == f
     assert parse_formula(fully_parenthesized(f), m) == f
     truth = oracle_eval(f, m)
-    assert evaluate(f, m).as_bool() is truth
+    result = evaluate(f, m)
+    assert result.as_bool() is truth
+    assert bits(result) == bits(dense_evaluate(f, m))
     model_path.write_text(print_model(m))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["eval", "--model", str(model_path), f"--formula={text}"])

@@ -44,7 +44,7 @@ from tensorlogic.sets import (
     predicate_vector,
     union,
 )
-from tensorlogic.tensor import contract
+from tensorlogic.tensor import Tensor, contract
 from tensorlogic.truth import (
     PredicateMatrix,
     apply_predicate,
@@ -116,7 +116,16 @@ def dense_set(e, m: Model) -> SetVector:
             return intersect(dense_set(left, m), dense_set(right, m))
         case Or(left, right):
             return union(dense_set(left, m), dense_set(right, m))
+        case Not(body):
+            return complement(dense_set(body, m))
+        case Implies(left, right):
+            return union(complement(dense_set(left, m)), dense_set(right, m))
     raise TypeError(f"not a set expression node: {e!r}")
+
+
+def complement(s: SetVector) -> SetVector:
+    """The domain minus a set: 1 - x on its characteristic vector."""
+    return SetVector(Tensor(1.0 - s.tensor.array))
 
 
 def bits(v) -> bytes:
