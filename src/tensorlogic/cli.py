@@ -64,7 +64,7 @@ def _format_blocks(tensor: np.ndarray) -> list[str]:
 
 
 def _read_model(path: str) -> Model:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    return parse_model(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -72,7 +72,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.formula is not None:
         text = args.formula
     else:
-        text = Path(args.formula_file).read_text(encoding="utf-8")
+        text = Path(args.formula_file).read_text(encoding="utf-8-sig")
     formula = parse_formula(text, m)
     result = execute(compile_formula(formula, m, cap=args.cap))
     truth = result.as_bool()

@@ -51,8 +51,10 @@ the limit.
 Model text is accepted statement by statement by whole-line patterns, and
 the token parser reports every error: text that any pattern does not take is
 read again by the token parser, so a model's errors, messages and positions
-are the token parser's alone.  That parser, like the formula parser, reads
-tokens on demand, after one check of the whole text's characters: an
+are the token parser's alone.  That parser and the formula parser read one
+token stream: after one check of the whole text's characters, each token is
+the next match of one pattern, read only when the parser asks for it, and a
+line and column are computed from a token's offset only for an error.  So an
 unexpected character anywhere is the error reported, whatever else is wrong
 before it, and formula text nested too deep is rejected after reading about
 :data:`MAX_DEPTH` tokens, not all of them.
@@ -68,7 +70,7 @@ import enum
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 from .errors import (
     ArityError,
@@ -180,112 +182,99 @@ Intersect, Union = And, Or
 _NAME = "[A-Za-z][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
 
-_TOKEN_RE = re.compile(
-    rf"""(?P<ws>[^\S\n]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<newline>\n)
-      | (?P<arrow>->)
-      | (?P<name>{_NAME})
-      | (?P<int>\d+)
-      | (?P<underscore>_)
-      | (?P<sym>[(),:/~&|])
-    """,
-    re.VERBOSE,
-)
+#: One token of model text and of formula text, with the blanks and comments
+#: before it: group 1 is the token, and at the end of the text it is ``""``.
+#: Formula text reads a newline as a blank, model text as a token.  The
+#: blanks at the end are part of the last match, so no scan starts inside a
+#: comment.
+_MODEL_TOKEN_RE = re.compile(rf"(?:[^\S\n]+|#[^\n]*)*(->|{_NAME}|\d+|[_(),:/~&|\n]|\Z)")
+_FORMULA_TOKEN_RE = re.compile(rf"(?:\s+|#[^\n]*)*(->|{_NAME}|\d+|[_(),:/~&|]|\Z)")
 
-#: The longest prefix of a text that ``_TOKEN_RE`` splits into tokens with no
-#: character left over: it ends at the text's first unexpected character.
+#: The longest prefix of a text that the token patterns split into tokens with
+#: no character left over: it ends at the text's first unexpected character.
 _VALID_PREFIX_RE = re.compile(r"(?:[A-Za-z\d_(),:/~&|\s]+|#[^\n]*|->)*")
 
-#: Token kinds a model's statements are read without, and a formula's.
-_MODEL_SKIP = ("ws", "comment")
-_FORMULA_SKIP = ("ws", "comment", "newline")
-
-#: Token kinds that end a model statement.
-_STATEMENT_END = ("newline", "eof")
+#: The tokens that end a model statement: a newline and the end of the text.
+_STATEMENT_END = ("\n", "")
 
 
-class _Token(NamedTuple):
-    kind: str  # name | int | underscore | arrow | newline | ( ) , : / ~ & | eof
-    text: str
-    line: int
-    column: int
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def _tokenize(text: str, skip: tuple[str, ...] = _MODEL_SKIP) -> Iterator[_Token]:
-    """The tokens of ``text`` but those of a kind in ``skip``, read on demand
-    and ending in one ``eof`` token.
+def _tokenize(text: str, token_re: re.Pattern = _MODEL_TOKEN_RE) -> Iterator[re.Match]:
+    """The matches of ``token_re`` over ``text``, read on demand; the last
+    one is the end of the text.
 
-    Before the first token, the whole text's characters are checked, so an
-    unexpected character anywhere is the error, whatever a parser would have
-    found in the tokens before it.
+    The whole text's characters are checked first, so an unexpected character
+    anywhere is the error, whatever a parser would have found in the tokens
+    before it; past the check, the matches follow one another with no
+    character between them.
     """
     bad = _VALID_PREFIX_RE.match(text).end()
     if bad < len(text):
-        line_start = text.rfind("\n", 0, bad) + 1
-        raise ParseError(
-            f"unexpected character {text[bad]!r}",
-            text.count("\n", 0, line_start) + 1,
-            bad - line_start + 1,
-        )
-    line, line_start = 1, 0
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind not in skip:
-            value = match.group()
-            yield _Token(
-                value if kind == "sym" else kind, value, line, match.start() - line_start + 1
-            )
-        if kind == "newline":
-            line += 1
-            line_start = match.end()
-    yield _Token("eof", "", line, len(text) - line_start + 1)
+        raise ParseError(f"unexpected character {text[bad]!r}", *_line_column(text, bad))
+    return token_re.finditer(text)
 
 
-class _TokenStream:
-    """One token of lookahead over a token iterator that ends in ``eof``."""
+class _Tokens:
+    """One text's tokens, read on demand, with one token of lookahead.
 
-    def __init__(self, tokens: Iterator[_Token]):
-        self._tokens = tokens
-        self._next = next(tokens)
+    ``next`` is the text of the token :meth:`advance` reads next: a name,
+    digits, ``->``, one of ``_(),:/~&|``, a newline in model text, or ``""``
+    at the end of the text.  A token read is its match of the token pattern;
+    its line and column are computed from its offset, and only for an error.
+    """
 
-    def peek(self) -> _Token:
-        return self._next
+    def __init__(self, text: str, token_re: re.Pattern):
+        self.text = text
+        self._matches = _tokenize(text, token_re)
+        self._next_match = next(self._matches)
+        self.next: str = self._next_match[1]
 
-    def advance(self) -> _Token:
-        token = self._next
-        if token.kind != "eof":
-            self._next = next(self._tokens)
-        return token
+    def advance(self) -> re.Match:
+        """The next token's match; at the end of the text it stays there."""
+        match = self._next_match
+        if self.next:
+            self._next_match = following = next(self._matches)
+            self.next = following[1]
+        return match
 
-    def at_statement_end(self) -> bool:
-        return self._next.kind in _STATEMENT_END
-
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        token = self._next
-        if token.kind != kind:
-            expected = what or f"{kind!r}"
-            found = "end of input" if token.kind in _STATEMENT_END else repr(token.text)
-            raise ParseError(f"expected {expected}, found {found}", token.line, token.column)
+    def expect(self, token: str, what: str | None = None) -> re.Match:
+        if self.next != token:
+            raise self.unexpected(what or repr(token))
         return self.advance()
 
-    def error(self, message: str) -> ParseError:
-        token = self._next
-        return ParseError(message, token.line, token.column)
+    def expect_name(self, what: str) -> re.Match:
+        name = self.next
+        if not name[:1].isalpha():
+            raise self.unexpected(what)
+        if name in RESERVED:
+            raise self.error(f"{name!r} is a reserved word")
+        return self.advance()
 
+    def unexpected(self, expected: str) -> ParseError:
+        found = "end of input" if self.next in _STATEMENT_END else repr(self.next)
+        return self.error(f"expected {expected}, found {found}")
 
-def _expect_name(stream: _TokenStream, what: str) -> _Token:
-    token = stream.expect("name", what)
-    if token.text in RESERVED:
-        raise ParseError(f"{token.text!r} is a reserved word", token.line, token.column)
-    return token
+    def error(self, message: str, token: re.Match | None = None) -> ParseError:
+        """A :class:`ParseError` at ``token``, or at the next token."""
+        return ParseError(message, *self.line_column(token))
 
+    def line_column(self, token: re.Match | None = None) -> tuple[int, int]:
+        return _line_column(self.text, (token or self._next_match).start(1))
 
-def _names_to_statement_end(stream: _TokenStream) -> list[str]:
-    names = []
-    while not stream.at_statement_end():
-        names.append(_expect_name(stream, "an atom name").text)
-    return names
+    def position(self, token: re.Match) -> str:
+        """Where ``token`` starts, as the message of a binding error ends."""
+        return "(line {}, column {})".format(*self.line_column(token))
+
+    def names_to_statement_end(self) -> list[str]:
+        names = []
+        while self.next not in _STATEMENT_END:
+            names.append(self.expect_name("an atom name")[1])
+        return names
 
 
 # ---------------------------------------------------------------------------
@@ -392,59 +381,63 @@ def _accept_model(text: str) -> _Declarations | None:
 def _parse_model_tokens(text: str) -> _Declarations:
     """The declarations of ``text``, read token by token; the parser that
     reports every error in model text."""
-    stream = _TokenStream(_tokenize(text))
+    tokens = _Tokens(text, _MODEL_TOKEN_RE)
     atom_names: list[str] = []
     predicates: dict[str, list[str]] = {}
     relations: dict[str, tuple[int, list[tuple[str, ...]]]] = {}
-    while (head := stream.advance()).kind != "eof":
-        if head.kind == "newline":
+    while tokens.next:
+        head = tokens.advance()
+        keyword = head[1]
+        if keyword == "\n":
             continue
-        keyword = head.text if head.kind == "name" else None
         if not atom_names:
             if keyword != "domain":
-                raise ParseError(
-                    "model must start with a 'domain' statement", head.line, head.column
-                )
-            atom_names = _names_to_statement_end(stream)
+                raise tokens.error("model must start with a 'domain' statement", head)
+            atom_names = tokens.names_to_statement_end()
             if not atom_names:
-                raise stream.error("'domain' needs at least one atom name")
+                raise tokens.error("'domain' needs at least one atom name")
             continue
         if keyword == "domain":
-            raise ParseError("only one 'domain' statement is allowed", head.line, head.column)
+            raise tokens.error("only one 'domain' statement is allowed", head)
         if keyword not in ("pred", "rel"):
-            raise ParseError("expected a 'pred' or 'rel' statement", head.line, head.column)
+            raise tokens.error("expected a 'pred' or 'rel' statement", head)
         kind = "predicate" if keyword == "pred" else "relation"
-        name_token = _expect_name(stream, f"a {kind} name")
-        name = name_token.text
+        name_token = tokens.expect_name(f"a {kind} name")
+        name = name_token[1]
         if name in predicates or name in relations:
-            raise DuplicateNameError(f"symbol {name!r} declared twice {_position(name_token)}")
+            raise DuplicateNameError(
+                f"symbol {name!r} declared twice {tokens.position(name_token)}"
+            )
         if keyword == "pred":
-            stream.expect(":")
-            predicates[name] = _names_to_statement_end(stream)
+            tokens.expect(":")
+            predicates[name] = tokens.names_to_statement_end()
             continue
-        stream.expect("/")
-        token = stream.expect("int", "an arity")
+        tokens.expect("/")
+        if not tokens.next[:1].isdecimal():
+            raise tokens.unexpected("an arity")
+        token = tokens.advance()
+        digits = token[1]
         try:
-            arity = int(token.text)
+            arity = int(digits)
         except ValueError:  # more digits than int() will read
-            raise ParseError(
-                f"arity has too many digits ({len(token.text)})", token.line, token.column
-            ) from None
+            raise tokens.error(f"arity has too many digits ({len(digits)})", token) from None
         if arity < 1:
-            raise ArityError(f"relation {name!r} declared with arity {arity} {_position(token)}")
-        stream.expect(":")
+            raise ArityError(
+                f"relation {name!r} declared with arity {arity} {tokens.position(token)}"
+            )
+        tokens.expect(":")
         tuples: list[tuple[str, ...]] = []
-        while not stream.at_statement_end():
-            opening = stream.expect("(")
-            members = [_expect_name(stream, "an atom name").text]
-            while stream.peek().kind == ",":
-                stream.advance()
-                members.append(_expect_name(stream, "an atom name").text)
-            stream.expect(")")
+        while tokens.next not in _STATEMENT_END:
+            opening = tokens.expect("(")
+            members = [tokens.expect_name("an atom name")[1]]
+            while tokens.next == ",":
+                tokens.advance()
+                members.append(tokens.expect_name("an atom name")[1])
+            tokens.expect(")")
             if len(members) != arity:
                 raise ArityError(
                     f"tuple {tuple(members)} has length {len(members)}, "
-                    f"relation {name!r} has arity {arity} {_position(opening)}"
+                    f"relation {name!r} has arity {arity} {tokens.position(opening)}"
                 )
             tuples.append(tuple(members))
         relations[name] = (arity, tuples)
@@ -489,18 +482,7 @@ def print_model(m: Model) -> str:
 MAX_DEPTH = 100
 
 
-def _position(token: _Token) -> str:
-    """Where ``token`` starts, as a :class:`ParseError` message ends."""
-    return f"(line {token.line}, column {token.column})"
-
-
-def _too_deep(token: _Token) -> ParseError:
-    return ParseError(
-        f"formula nests deeper than {MAX_DEPTH} levels", token.line, token.column
-    )
-
-
-class _FormulaParser:
+class _FormulaParser(_Tokens):
     """Recursive descent over one formula's tokens.
 
     Every production returns its node with its depth: the largest number of
@@ -513,8 +495,8 @@ class _FormulaParser:
     long before the interpreter's stack does.
     """
 
-    def __init__(self, stream: _TokenStream, m: Model):
-        self.stream = stream
+    def __init__(self, text: str, m: Model):
+        super().__init__(text, _FORMULA_TOKEN_RE)
         self.model = m
         self.open = 0
         # Whether the descent is inside a quantifier's operand, where a name
@@ -526,43 +508,34 @@ class _FormulaParser:
 
     def parse(self) -> Formula:
         formula, _ = self.implies()
-        trailing = self.stream.peek()
-        if trailing.kind != "eof":
-            raise ParseError(
-                f"unexpected trailing input {trailing.text!r}", trailing.line, trailing.column
-            )
+        if self.next:
+            raise self.error(f"unexpected trailing input {self.next!r}")
         return formula
 
     # -- depth -------------------------------------------------------------
 
-    def enter(self, token: _Token) -> None:
+    def too_deep(self, token: re.Match) -> ParseError:
+        return self.error(f"formula nests deeper than {MAX_DEPTH} levels", token)
+
+    def enter(self, token: re.Match) -> None:
         """Descend into the body of ``token``: a ``~``, ``->`` or ``(``."""
         if self.open >= MAX_DEPTH:
-            raise _too_deep(token)
+            raise self.too_deep(token)
         self.open += 1
 
-    @staticmethod
-    def deeper(depth: int, token: _Token) -> int:
+    def deeper(self, depth: int, token: re.Match) -> int:
         """Depth of the node ``token`` builds over children at most ``depth`` deep."""
         if depth >= MAX_DEPTH:
-            raise _too_deep(token)
+            raise self.too_deep(token)
         return depth + 1
-
-    def parenthesized(self, inner: Callable[[], tuple[Formula, int]]) -> tuple[Formula, int]:
-        token = self.stream.advance()
-        self.enter(token)
-        node, depth = inner()
-        self.stream.expect(")")
-        self.open -= 1
-        return node, self.deeper(depth, token)
 
     def chain(
         self, operand: Callable[[], tuple[Formula, int]], op: str, node_type: type
     ) -> tuple[Formula, int]:
         """A left-associative chain ``operand (op operand)*``."""
         node, depth = operand()
-        while (token := self.stream.peek()).kind == op:
-            self.stream.advance()
+        while self.next == op:
+            token = self.advance()
             right, right_depth = operand()
             node, depth = node_type(node, right), self.deeper(max(depth, right_depth), token)
         return node, depth
@@ -571,38 +544,41 @@ class _FormulaParser:
 
     def implies(self) -> tuple[Formula, int]:
         left, depth = self.chain(self.and_chain, "|", Or)
-        token = self.stream.peek()
-        if token.kind != "arrow":
+        if self.next != "->":
             return left, depth
-        self.stream.advance()
+        token = self.advance()
         self.enter(token)
         right, right_depth = self.implies()
         self.open -= 1
         return Implies(left, right), self.deeper(max(depth, right_depth), token)
 
     def unary(self) -> tuple[Formula, int]:
-        token = self.stream.peek()
-        if token.kind != "~":
+        if self.next != "~":
             return self.primary()
-        self.stream.advance()
+        token = self.advance()
         self.enter(token)
         body, depth = self.unary()
         self.open -= 1
         return Not(body), self.deeper(depth, token)
 
     def primary(self) -> tuple[Formula, int]:
-        token = self.stream.peek()
-        if token.kind == "(":
-            return self.parenthesized(self.implies)
-        if token.kind == "name" and token.text in ("all", "exists"):
+        keyword = self.next
+        if keyword == "(":
+            token = self.advance()
+            self.enter(token)
+            node, depth = self.implies()
+            self.expect(")")
+            self.open -= 1
+            return node, self.deeper(depth, token)
+        if keyword in ("all", "exists"):
             if self.in_operand:
                 raise EmbeddedQuantifierError(
-                    "quantifiers cannot be nested inside set expressions", token.line, token.column
+                    "quantifiers cannot be nested inside set expressions", *self.line_column()
                 )
-            self.stream.advance()
+            self.advance()
             self.in_operand = True
             subset, depth = self.primary()
-            if token.text == "exists":
+            if keyword == "exists":
                 node = Exists(subset)
             else:
                 superset, superset_depth = self.primary()
@@ -611,83 +587,83 @@ class _FormulaParser:
             return node, depth
         if self.in_operand:
             return self.set_name()
-        name = _expect_name(self.stream, "a predicate or relation application")
-        self.stream.expect("(", "'(' after a predicate or relation name")
+        name = self.expect_name("a predicate or relation application")
+        self.expect("(", "'(' after a predicate or relation name")
         args = [self.atom_name()]
-        while self.stream.peek().kind == ",":
-            self.stream.advance()
+        while self.next == ",":
+            self.advance()
             args.append(self.atom_name())
-        self.stream.expect(")")
+        self.expect(")")
         return self.bind_application(name, tuple(args)), 0
 
     def atom_name(self) -> str:
-        token = _expect_name(self.stream, "an atom name")
+        token = self.expect_name("an atom name")
+        name = token[1]
         try:
-            self.model.atom_index(token.text)
+            self.model.atom_index(name)
         except UnknownAtomError:
-            raise UnknownAtomError(token.text, _position(token)) from None
-        return token.text
+            raise UnknownAtomError(name, self.position(token)) from None
+        return name
 
-    def bind_application(self, name: _Token, args: tuple[str, ...]) -> Formula:
-        if name.text in self.model.predicates:
+    def bind_application(self, token: re.Match, args: tuple[str, ...]) -> Formula:
+        name = token[1]
+        if name in self.model.predicates:
             if len(args) != 1:
                 raise ArityError(
-                    f"predicate {name.text!r} takes 1 argument, "
-                    f"got {len(args)} {_position(name)}"
+                    f"predicate {name!r} takes 1 argument, "
+                    f"got {len(args)} {self.position(token)}"
                 )
-            return Atom(name.text, args[0])
-        if name.text in self.model.relations:
-            arity = self.model.relations[name.text].arity
+            return Atom(name, args[0])
+        if name in self.model.relations:
+            arity = self.model.relations[name].arity
             if len(args) != arity:
                 raise ArityError(
-                    f"relation {name.text!r} has arity {arity}, "
-                    f"got {_count(len(args), 'argument')} {_position(name)}"
+                    f"relation {name!r} has arity {arity}, "
+                    f"got {_count(len(args), 'argument')} {self.position(token)}"
                 )
-            return RelAtom(name.text, args)
-        raise UnknownNameError(name.text, "predicate or relation", _position(name))
+            return RelAtom(name, args)
+        raise UnknownNameError(name, "predicate or relation", self.position(token))
 
     # -- set layer ---------------------------------------------------------
 
     def set_name(self) -> tuple[Formula, int]:
         """A name in a quantifier's operand: a predicate's set, or a relation
         with its last argument open."""
-        name = _expect_name(self.stream, "a predicate or relation name")
+        token = self.expect_name("a predicate or relation name")
+        name = token[1]
         # Predicates never take arguments in set position, so a following
         # '(' can only open the next quantifier argument.
-        if name.text in self.model.predicates:
-            return Atom(name.text, VAR), 0
-        if name.text not in self.model.relations:
-            raise UnknownNameError(name.text, "predicate or relation", _position(name))
-        if self.stream.peek().kind != "(":
+        if name in self.model.predicates:
+            return Atom(name, VAR), 0
+        if name not in self.model.relations:
+            raise UnknownNameError(name, "predicate or relation", self.position(token))
+        if self.next != "(":
             raise ArityError(
-                f"relation {name.text!r} in set position needs bound arguments "
-                f"and an open slot, e.g. {name.text}(a, _) {_position(name)}"
+                f"relation {name!r} in set position needs bound arguments "
+                f"and an open slot, e.g. {name}(a, _) {self.position(token)}"
             )
-        self.stream.advance()
+        self.advance()
         bound: list[str] = []
-        while self.stream.peek().kind != "underscore":
+        while self.next != "_":
             bound.append(self.atom_name())
-            self.stream.expect(",", "',' (the open slot '_' must come last)")
-        self.stream.expect("underscore")
-        next_token = self.stream.peek()
-        if next_token.kind == ",":
-            raise ParseError(
-                "the open slot '_' must be the last argument", next_token.line, next_token.column
-            )
-        self.stream.expect(")")
-        arity = self.model.relations[name.text].arity
+            self.expect(",", "',' (the open slot '_' must come last)")
+        self.advance()
+        if self.next == ",":
+            raise self.error("the open slot '_' must be the last argument")
+        self.expect(")")
+        arity = self.model.relations[name].arity
         if len(bound) != arity - 1:
             raise ArityError(
-                f"partial application of {name.text!r} (arity {arity}) "
+                f"partial application of {name!r} (arity {arity}) "
                 f"needs {_count(arity - 1, 'bound argument')}, "
-                f"got {len(bound)} {_position(name)}"
+                f"got {len(bound)} {self.position(token)}"
             )
-        return RelAtom(name.text, (*bound, VAR)), 0
+        return RelAtom(name, (*bound, VAR)), 0
 
 
 def parse_formula(text: str, m: Model) -> Formula:
     """Parse formula text against a model, binding and arity-checking names."""
-    return _FormulaParser(_TokenStream(_tokenize(text, _FORMULA_SKIP)), m).parse()
+    return _FormulaParser(text, m).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,15 @@ class TestExitCodeContract:
         assert result.returncode == 2
         assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
 
+    def test_files_with_a_byte_order_mark(self, tmp_path, capsys):
+        model = tmp_path / "bom.model"
+        model.write_text(MATHEMATICIAN_TEXT, encoding="utf-8-sig")
+        formula = tmp_path / "bom.formula"
+        formula.write_text("~mathematician(tom)  # negated\n", encoding="utf-8-sig")
+        assert main(["eval", "--model", str(model), "--formula", "mathematician(tom)"]) == 1
+        assert main(["eval", "--model", str(model), "--formula-file", str(formula)]) == 0
+        assert capsys.readouterr() == (BOT + "\n" + TOP + "\n", "")
+
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("contract")

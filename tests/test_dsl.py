@@ -1,5 +1,6 @@
 """Model and formula text formats: parsing, printing, round-trips, errors."""
 
+import hashlib
 import random
 import tracemalloc
 
@@ -733,11 +734,13 @@ def test_the_tokenizer_error_is_every_parser_error(text):
 
 
 @pytest.mark.parametrize(
-    "text", ["(" * 3000 + "p0(e0)" + ")" * 3000, "~" * 3000 + "p0(e0)"], ids=["parens", "not"]
+    "text",
+    ["(" * 3000 + "p0(e0)" + ")" * 3000, "~" * 3000 + "p0(e0)", " & ".join(["p0(e0)"] * 3000)],
+    ids=["parens", "not", "and-chain"],
 )
 def test_deep_text_is_rejected_in_bounded_memory(text):
     # The parser gives up after about MAX_DEPTH tokens, so it needs to have
-    # read no more than those.
+    # read no more than those, of the flat chain's 14,999 as of the others.
     m = parse_model("domain e0\npred p0: e0\n")
     tracemalloc.start()
     try:
@@ -747,3 +750,154 @@ def test_deep_text_is_rejected_in_bounded_memory(text):
     finally:
         tracemalloc.stop()
     assert peak < 300_000
+
+
+# A seeded corpus for the pin below: formula and model texts built from the
+# grammar, as token soup, and mutated, with comments, "\r\n", tabs, Unicode
+# spaces and digits and reserved words between the tokens.
+CORPUS_MODEL_TEXT = (
+    "domain a b c\npred p: a b\npred q: c\nrel r/2: (a, b) (b, c)\nrel s/3: (a, b, c)\n"
+)
+CORPUS_GAPS = [
+    " ", " ", " ", "", "  ", "\t", "\n", "\r\n", "\x0b", "\u00a0", "\u2003", " # note & p(a)\n",
+]
+CORPUS_FRAGMENTS = [
+    *TEXT_FRAGMENTS, "q", "s", "b", "c", "zz", "rel", "2b", "a1", "_a", "00", "\u0662", "\r\n",
+    "# c\n", "->", "p(a)", "(a, _)", "r(a, b)", "s(a, b, _)", "/0", "/\u0663:", ": a b",
+    "(a, b)", "domain a b", "\npred q: c", "\nrel t/2: (a, a)", "\u00a0", "\x85", "\u2003",
+    " & ", " | ", " -> ", "~", "(", ")", ", ", "exists p", "all q ", "p", "a", "\n", " ",
+]
+
+
+def _corpus_formula(rng, depth):
+    """Tokens of a formula over ``CORPUS_MODEL_TEXT``: valid but for an
+    unknown name, a wrong argument count or a misplaced open slot now and
+    then."""
+    def atom():
+        return rng.choice("abc" * 8 + "z")
+
+    def operand(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.4:
+            return rng.choice([
+                ["p"], ["q"], ["r", "(", atom(), ",", "_", ")"],
+                ["s", "(", atom(), ",", atom(), ",", "_", ")"],
+            ] * 3 + [["r", "(", "_", ")"], ["s", "(", atom(), ",", "_", ",", atom(), ")"]])
+        return ["(", *formula(depth - 1, in_operand=True), ")"]
+
+    def formula(depth, in_operand=False):
+        roll = rng.random()
+        if in_operand and roll < 0.15:
+            return operand(depth)
+        if depth == 0 or roll < 0.3:
+            if in_operand:
+                return operand(0)
+            return rng.choice([
+                ["p", "(", atom(), ")"], ["q", "(", atom(), ")"],
+                ["r", "(", atom(), ",", atom(), ")"],
+                ["s", "(", atom(), ",", atom(), ",", atom(), ")"],
+            ] * 3 + [
+                ["s", "(", atom(), ",", atom(), ")"], ["p", "(", atom(), ",", atom(), ")"],
+                ["t", "(", atom(), ")"],
+            ])
+        if roll < 0.45:
+            return ["~", *formula(depth - 1, in_operand)]
+        if roll < 0.55:
+            return ["(", *formula(depth - 1, in_operand), ")"]
+        if roll < 0.7 and not in_operand:
+            if rng.random() < 0.5:
+                return ["exists", *operand(depth - 1)]
+            return ["all", *operand(depth - 1), *operand(depth - 1)]
+        op = rng.choice(["&", "|", "->"])
+        return [*formula(depth - 1, in_operand), op, *formula(depth - 1, in_operand)]
+
+    return formula(depth)
+
+
+def _corpus_model(rng):
+    """Tokens of model text, one statement a line: valid but for a reserved
+    word, a name clash, an unknown atom, a tuple's length or an arity now
+    and then."""
+    atoms = rng.sample(["a", "b", "c", "x1", "y_2", "a"], rng.randint(rng.random() > 0.05, 4))
+    if rng.random() < 0.05:
+        atoms.append("all")
+    names = atoms + ["zz"] if rng.random() < 0.1 else atoms or ["a"]
+    symbols = rng.sample(["p", "q", "r", "s", "t", "u", "p", "a"], rng.randint(0, 4))
+    if rng.random() < 0.05:
+        symbols.append("rel")
+    lines = [["domain", *atoms]]
+    for symbol in symbols:
+        if rng.random() < 0.5:
+            lines.append(["pred", symbol, ":", *rng.choices(names, k=rng.randint(0, 3))])
+            continue
+        arity = rng.randint(1, 3)
+        body = []
+        for _ in range(rng.randint(0, 3)):
+            members = rng.choices(names, k=arity + (rng.random() < 0.1))
+            body += ["(", *" , ".join(members).split(" "), ")"]
+        arity_text = rng.choice([str(arity)] * 6 + ["0", "0" + str(arity), chr(0x0660 + arity)])
+        lines.append(["rel", symbol, "/", arity_text, ":", *body])
+    if rng.random() < 0.1:
+        rng.shuffle(lines)
+    return lines
+
+
+def _corpus_join(rng, tokens, gaps):
+    return "".join(token + rng.choice(gaps) for token in tokens)
+
+
+def _corpus_mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        where = rng.randint(0, len(text))
+        fragment = rng.choice(CORPUS_FRAGMENTS)
+        kind = rng.randrange(5)
+        if kind == 0:
+            text = text[:where] + fragment + text[where:]
+        elif kind == 1:
+            text = text[:where] + text[where + rng.randint(1, 4):]
+        elif kind == 2:
+            text = text[:where] + fragment + text[where + 1:]
+        elif kind == 3:
+            text = text[where:] + text[:where]
+        else:
+            text = text[:where]
+    return text
+
+
+def _corpus_texts(rng):
+    """5,000 formula texts and 2,000 model texts, a third of each token soup,
+    a third from the grammar and a third from the grammar and mutated."""
+    formulas, models = [], []
+    for i in range(5000):
+        if i % 3 == 0:
+            text = "".join(rng.choice(CORPUS_FRAGMENTS) for _ in range(rng.randint(0, 30)))
+        else:
+            text = _corpus_join(rng, _corpus_formula(rng, rng.randint(0, 5)), CORPUS_GAPS)
+            if i % 3 == 2:
+                text = _corpus_mutate(rng, text)
+        formulas.append(text)
+    model_gaps = [gap for gap in CORPUS_GAPS if gap and "\n" not in gap]
+    for i in range(2000):
+        if i % 3 == 0:
+            text = "".join(rng.choice(CORPUS_FRAGMENTS) for _ in range(rng.randint(0, 30)))
+        else:
+            text = rng.choice(["\n", "\r\n", "\n\n# note\n"]).join(
+                _corpus_join(rng, line, model_gaps) + rng.choice(["", "", " # c"])
+                for line in _corpus_model(rng)
+            )
+            if i % 3 == 2:
+                text = _corpus_mutate(rng, text)
+        models.append(text)
+    return formulas, models
+
+
+def test_parse_outcomes_on_a_seeded_corpus_are_pinned():
+    """The AST or model each text parses to, or its error's class, message,
+    line and column, for every text of the corpus; the sha256 was taken
+    before the tokenizer read tokens as regex matches."""
+    formulas, models = _corpus_texts(random.Random(20))
+    m = parse_model(CORPUS_MODEL_TEXT)
+    outcomes = [repr(_outcome(lambda t: parse_formula(t, m), text)) for text in formulas]
+    outcomes += [repr(_outcome(lambda t: print_model(parse_model(t)), text)) for text in models]
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "b87069ce004cff51b5bad878f2c5d98fb92abdd2fb8d0dd52a23b474438f10a0"
