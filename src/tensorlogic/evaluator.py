@@ -7,10 +7,10 @@ bottom-up with no common subexpressions shared, so the executed steps read
 off as the evaluation trace of the formula.
 
 A relation is never loaded whole.  Applying it loads the (2, n) slice that
-fixes every argument but the last, built from the relation's tuples and
-noted ``rel:loves(j,_)``; a full application then contracts that slice with
-the last argument's one-hot vector, as a predicate application does.  So no
-plan holds a relation tensor of rank above 2.
+fixes every argument but the last, built by n probes of the relation's
+stored keys and noted ``rel:loves(j,_)``; a full application then contracts
+that slice with the last argument's one-hot vector, as a predicate
+application does.  So no plan holds a relation tensor of rank above 2.
 
 A set expression is an open formula over ``dsl.VAR``, and lowers to a
 (2, n) matrix of truth columns: an application to ``VAR`` skips its one-hot
@@ -339,8 +339,9 @@ def _oracle_truth(f: dsl.Formula, m: Model, x: int | None) -> bool:
             i = _assigned(x) if arg is dsl.VAR else m.atom_index(arg)
             return i in m.predicate_extension(pred)
         case dsl.RelAtom(rel, args):
-            indices = tuple(_assigned(x) if a is dsl.VAR else m.atom_index(a) for a in args)
-            return indices in m.relation_decl(rel).tuples
+            decl = m.relation_decl(rel)
+            indices = [_assigned(x) if a is dsl.VAR else m.atom_index(a) for a in args]
+            return decl.key(indices) in decl.keys
         case dsl.Not(body):
             return not _oracle_truth(body, m, x)
         case dsl.And(left, right):

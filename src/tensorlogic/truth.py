@@ -10,11 +10,14 @@ Argument order convention: the rightmost domain index of a relation tensor
 corresponds to the first argument of the relation.  Contraction consumes the
 rightmost index, so feeding arguments in surface order (subject first) is
 correct, and partially applied relations remain well-formed relational
-tensors.  :func:`build_relation_slice` builds the predicate matrix that
-binding every argument but the last leaves, straight from the relation's
-tuples and without the dense tensor; plans load relations only that way.
-One fill builds every truth tensor, dense or sliced: the false row is one
-minus the true row, so each column is a truth basis vector by construction.
+tensors.  A relation is stored as its keys, the flat positions of the true
+entries in its dense tensor's true row (see
+:class:`~tensorlogic.model.RelationDecl`): :func:`build_relation` fills them
+in, and :func:`build_relation_slice` builds the predicate matrix that binding
+every argument but the last leaves by probing the n keys it can hold, without
+the dense tensor; plans load relations only that way.  One fill builds every
+truth tensor, dense or sliced: the false row is one minus the true row, so
+each column is a truth basis vector by construction.
 
 Connectives are constant tensors over the truth space: negation is the 2 x 2
 swap matrix, and each binary connective is a 2 x 2 x 2 tensor whose last index
@@ -199,9 +202,7 @@ def build_relation(
     decl = m.relation_decl(name)
     n, k = m.domain_size, decl.arity
     ElementCapError.check(name, 2 * n**k, cap)
-    # Tuple (t1, ..., tk) sits at flat index t1 + t2*n + ... + tk*n**(k-1).
-    tuples = np.array(list(decl.tuples), dtype=np.intp).reshape(-1, k)
-    tensor = _truth_tensor((n,) * k, tuples @ n ** np.arange(k))
+    tensor = _truth_tensor((n,) * k, list(decl.keys))
     if k == 1:
         return PredicateMatrix(tensor, validate=False)
     return RelationTensor(k, tensor, validate=False)
@@ -216,8 +217,9 @@ def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Predica
     tuple (t1, ..., tk) at domain indices (tk, ..., t1), so contracting it
     with the one-hot vectors of t1, ..., t(k-1) in that order leaves the
     index of tk.  The result is therefore bitwise
-    ``partial_apply(build_relation(m, name), one-hots of bound)``, filled
-    straight from the tuples in 2n elements rather than 2n^k.
+    ``partial_apply(build_relation(m, name), one-hots of bound)``, built in
+    2n elements rather than 2n^k: column j is true iff the key of ``bound``
+    followed by atom j is stored, so n probes of the keys fill it.
     """
     decl = m.relation_decl(name)
     if len(bound) != decl.arity - 1:
@@ -225,10 +227,9 @@ def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Predica
             f"a slice of {name!r} (arity {decl.arity}) binds "
             f"{_count(decl.arity - 1, 'argument')}, got {len(bound)}"
         )
-    prefix = tuple(m.atom_index(b) for b in bound)
-    k = len(prefix)
-    true_columns = [tup[-1] for tup in decl.tuples if tup[:k] == prefix]
-    return PredicateMatrix(_truth_tensor((m.domain_size,), true_columns), validate=False)
+    base, stride = decl.key([m.atom_index(b) for b in bound]), decl.size ** len(bound)
+    true_columns = [j for j in range(decl.size) if base + j * stride in decl.keys]
+    return PredicateMatrix(_truth_tensor((decl.size,), true_columns), validate=False)
 
 
 def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> bool:

@@ -135,6 +135,11 @@ FROM_NAMES_ERRORS = {
         UnknownAtomError,
         "unknown atom: 'b' in relation 'r'",
     ),
+    "unknown-atom-before-tuple-length": (
+        (["a"], None, {"r": (2, [("a", "a", "zz")])}),
+        UnknownAtomError,
+        "unknown atom: 'zz' in relation 'r'",
+    ),
     "pred-before-rel": (
         (["a"], {"p": ["x"]}, {"r": (1, [("y",)])}),
         UnknownAtomError,
@@ -228,6 +233,12 @@ class TestDecoding:
     def test_tolerant_to_float_noise(self):
         m = Model.from_names(["a", "b"])
         assert decode_set(m, Tensor([1 + 5e-13, -5e-13])) == frozenset({"a"})
+
+    @pytest.mark.parametrize("values", [[1 + 2e-12, 0], [0, -2e-12], [0.9, 0.1]])
+    def test_noise_beyond_the_tolerance_rejected(self, values):
+        m = Model.from_names(["a", "b"])
+        with pytest.raises(NonCharacteristicError):
+            decode_set(m, Tensor(values))
 
     def test_wrong_length_rejected(self):
         m = Model.from_names(["a", "b"])
