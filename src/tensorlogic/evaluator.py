@@ -341,7 +341,7 @@ def _oracle_truth(f: dsl.Formula, m: Model, x: int | None) -> bool:
         case dsl.RelAtom(rel, args):
             decl = m.relation_decl(rel)
             indices = [_assigned(x) if a is dsl.VAR else m.atom_index(a) for a in args]
-            return decl.key(indices) in decl.keys
+            return len(indices) == decl.arity and decl.key(indices) in decl.keys
         case dsl.Not(body):
             return not _oracle_truth(body, m, x)
         case dsl.And(left, right):

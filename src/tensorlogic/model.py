@@ -49,7 +49,8 @@ class RelationDecl:
     in the true row of the dense (2, size, ..., size) tensor, whose rightmost
     index is the first argument.  Keys are Python ints, so no arity
     overflows them.  :meth:`key` encodes one tuple; :meth:`Model.from_names`
-    folds a whole relation's tuples into keys the same way.
+    folds a whole relation's tuples into keys the same way.  Readers outside
+    this module need no layout: :meth:`true_columns` answers a slice.
     """
 
     arity: int
@@ -63,6 +64,13 @@ class RelationDecl:
         for i in reversed(indices):
             key = key * self.size + i
         return key
+
+    def true_columns(self, bound: Sequence[int]) -> list[int]:
+        """The atoms j for which ``bound`` followed by j is a stored tuple,
+        found by n probes of the keys: ``bound`` followed by atom j has the
+        key of ``bound`` plus j * size**len(bound)."""
+        base, stride = self.key(bound), self.size ** len(bound)
+        return [j for j in range(self.size) if base + j * stride in self.keys]
 
     @property
     def tuples(self) -> frozenset[tuple[int, ...]]:

@@ -14,8 +14,9 @@ tensors.  A relation is stored as its keys, the flat positions of the true
 entries in its dense tensor's true row (see
 :class:`~tensorlogic.model.RelationDecl`): :func:`build_relation` fills them
 in, and :func:`build_relation_slice` builds the predicate matrix that binding
-every argument but the last leaves by probing the n keys it can hold, without
-the dense tensor; plans load relations only that way.  One fill builds every
+every argument but the last leaves from n probes of the keys
+(:meth:`~tensorlogic.model.RelationDecl.true_columns`), without the dense
+tensor; plans load relations only that way.  One fill builds every
 truth tensor, dense or sliced: the false row is one minus the true row, so
 each column is a truth basis vector by construction.
 
@@ -218,8 +219,9 @@ def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Predica
     with the one-hot vectors of t1, ..., t(k-1) in that order leaves the
     index of tk.  The result is therefore bitwise
     ``partial_apply(build_relation(m, name), one-hots of bound)``, built in
-    2n elements rather than 2n^k: column j is true iff the key of ``bound``
-    followed by atom j is stored, so n probes of the keys fill it.
+    2n elements rather than 2n^k: its true columns are
+    :meth:`~tensorlogic.model.RelationDecl.true_columns`, n probes of the
+    stored keys.
     """
     decl = m.relation_decl(name)
     if len(bound) != decl.arity - 1:
@@ -227,8 +229,7 @@ def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Predica
             f"a slice of {name!r} (arity {decl.arity}) binds "
             f"{_count(decl.arity - 1, 'argument')}, got {len(bound)}"
         )
-    base, stride = decl.key([m.atom_index(b) for b in bound]), decl.size ** len(bound)
-    true_columns = [j for j in range(decl.size) if base + j * stride in decl.keys]
+    true_columns = decl.true_columns([m.atom_index(b) for b in bound])
     return PredicateMatrix(_truth_tensor((decl.size,), true_columns), validate=False)
 
 

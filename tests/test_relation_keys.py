@@ -11,6 +11,8 @@ import io
 import itertools
 import random
 
+import pytest
+
 from tensorlogic import dsl
 from tensorlogic.cli import main
 from tensorlogic.dsl import Exists, RelAtom, parse_model, print_model
@@ -85,6 +87,24 @@ def test_dense_and_sliced_tensor_bytes_are_pinned():
 def test_keys_are_true_row_positions(loves_model):
     """(j, j), (m, m) and (m, j) sit at 0 + 0*2, 1 + 1*2 and 1 + 0*2."""
     assert loves_model.relation_decl("loves").keys == {0, 1, 3}
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_from_names_folds_each_tuple_to_its_key(arity):
+    """``from_names`` folds a relation's keys a column at a time, apart from
+    :meth:`RelationDecl.key`; both must encode a tuple the same way."""
+    rng = random.Random(arity)
+    names = ["a", "b", "c"]
+    tuples = [t for t in itertools.product(names, repeat=arity) if rng.random() < 0.5]
+    decl = Model.from_names(names, None, {"r": (arity, tuples)}).relation_decl("r")
+    assert decl.keys == {decl.key([names.index(a) for a in t]) for t in tuples}
+
+
+@pytest.mark.parametrize("args", [("j",), ("m", "j", "j")])
+def test_oracle_refuses_a_tuple_of_another_length(loves_model, args):
+    """Key 0 is stored, and (j) and (m, j, j) also have key 0 over two atoms;
+    a tuple whose length is not the relation's arity is never stored."""
+    assert oracle_eval(RelAtom("loves", args), loves_model) is False
 
 
 WIDE_TEXT = "domain a b c\nrel r/70: ({}) ({})\n".format(

@@ -10,16 +10,16 @@ copy must pass every listed test; otherwise a failure would say nothing.
 A mutant is "killed" when its tests fail, "survived" when they pass, and
 "error" when its fragment is not found exactly once or pytest ends for
 another reason (such as a collection error).  The outcomes are written as
-JSON; the exit status is 0 only when every mutant is killed.
+JSON to ``MUTANTS.json`` at the repository root; the exit status is 0 only
+when every mutant is killed.
 
-Usage, from the repository root:
+Usage:
 
-    python tools/mutants.py [--output MUTANTS.json] [NAME ...]
+    python tools/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -51,17 +51,31 @@ MUTANTS = (
         ("tests/test_relation_keys.py",),
     ),
     Mutant(
+        "key-first-argument-most-significant",
+        "src/tensorlogic/model.py",
+        "for i in reversed(indices):",
+        "for i in indices:",
+        ("tests/test_relation_keys.py",),
+    ),
+    Mutant(
         "slice-probe-stride-one-argument-short",
-        "src/tensorlogic/truth.py",
-        "decl.size ** len(bound)",
-        "decl.size ** (len(bound) - 1)",
+        "src/tensorlogic/model.py",
+        "self.size ** len(bound)",
+        "self.size ** (len(bound) - 1)",
         ("tests/test_relation_keys.py",),
     ),
     Mutant(
         "slice-probe-misses-last-atom",
-        "src/tensorlogic/truth.py",
-        "range(decl.size) if base",
-        "range(decl.size - 1) if base",
+        "src/tensorlogic/model.py",
+        "range(self.size) if base",
+        "range(self.size - 1) if base",
+        ("tests/test_relation_keys.py",),
+    ),
+    Mutant(
+        "oracle-skips-arity-check",
+        "src/tensorlogic/evaluator.py",
+        "return len(indices) == decl.arity and decl.key(indices) in decl.keys",
+        "return decl.key(indices) in decl.keys",
         ("tests/test_relation_keys.py",),
     ),
     Mutant(
@@ -95,8 +109,8 @@ MUTANTS = (
     Mutant(
         "slice-prefix-reversed",
         "src/tensorlogic/truth.py",
-        "decl.key([m.atom_index(b) for b in bound])",
-        "decl.key([m.atom_index(b) for b in bound[::-1]])",
+        "decl.true_columns([m.atom_index(b) for b in bound])",
+        "decl.true_columns([m.atom_index(b) for b in bound[::-1]])",
         ("tests/test_relation_keys.py",),
     ),
     Mutant(
@@ -167,17 +181,8 @@ def outcome(mutant: Mutant) -> str:
     return {0: "survived", 1: "killed"}.get(status, "error")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--output", default="MUTANTS.json", help="where to write the outcomes")
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {sorted(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-
-    tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+def main() -> int:
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     with tempfile.TemporaryDirectory(prefix="unmutated-") as tmp:
         copy_tree(Path(tmp))
         if run_tests(Path(tmp), tests) != 0:
@@ -185,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     records = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         result = outcome(mutant)
         print(f"{result:8} {mutant.name}", flush=True)
         records.append(
@@ -193,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     killed = sum(r["outcome"] == "killed" for r in records)
     report = {"killed": killed, "total": len(records), "mutants": records}
-    Path(args.output).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    (ROOT / "MUTANTS.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"{killed} of {len(records)} mutants killed")
     return 0 if killed == len(records) else 1
 
