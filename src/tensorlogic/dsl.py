@@ -679,22 +679,25 @@ def _precedence(f: Formula) -> int:
 
 
 def _format_formula(f: Formula) -> str:
-    match f:
-        case Atom(pred, arg):
-            return pred if arg is VAR else f"{pred}({arg})"
-        case RelAtom(rel, args):
-            return f"{rel}({', '.join('_' if a is VAR else a for a in args)})"
-        case Not(body):
-            inner = _format_formula(body)
-            if _precedence(body) < _PRECEDENCE[Not]:
-                inner = f"({inner})"
-            return f"~{inner}"
-        case And(left, right) | Or(left, right) | Implies(left, right):
-            return _format_binary(f, _format_formula(left), _format_formula(right))
-        case ForAll(subset, superset):
-            return f"all {_format_operand(subset)} {_format_operand(superset)}"
-        case Exists(body):
-            return f"exists {_format_operand(body)}"
+    """The text of ``f``.  Each nesting level costs one frame, so an AST 700
+    deep prints under the default recursion limit."""
+    kind = type(f)
+    if kind is Atom:
+        return f.pred if f.arg is VAR else f"{f.pred}({f.arg})"
+    if kind is RelAtom:
+        return f"{f.rel}({', '.join('_' if a is VAR else a for a in f.args)})"
+    if kind is And or kind is Or or kind is Implies:
+        return _format_binary(f, _format_formula(f.left), _format_formula(f.right))
+    if kind is Not:
+        body = f.body
+        inner = _format_formula(body)
+        if _precedence(body) < _PRECEDENCE[Not]:
+            inner = f"({inner})"
+        return f"~{inner}"
+    if kind is ForAll:
+        return f"all {_format_operand(f.subset)} {_format_operand(f.superset)}"
+    if kind is Exists:
+        return f"exists {_format_operand(f.body)}"
     raise TypeError(f"not a formula node: {f!r}")
 
 

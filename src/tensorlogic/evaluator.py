@@ -141,6 +141,8 @@ class _PlanBuilder:
         self.model = m
         self.cap = cap
         self.n = m.domain_size
+        #: The model's memo of loaded tensors, read directly on a hit.
+        self.memoised = m._tensors.get
         self.steps: list[Instr] = []
         self.shapes: list[tuple[int, ...]] = []
 
@@ -148,19 +150,25 @@ class _PlanBuilder:
         """Load the model's tensor named by ``note``, of ``size`` elements,
         built by ``build(*args)`` on first use.
 
-        The cap is checked first, so a tensor memoised under a larger cap is
-        never handed to a plan compiled under a smaller one.
+        The cap is compared first, so a tensor memoised under a larger cap is
+        never handed to a plan compiled under a smaller one.  A tensor the
+        model already holds is served by one lookup of its memo.
         """
-        PlanTooLargeError.check(note, size, self.cap)
-        tensor = self.model._memo_tensor(note, build, *args)
-        reg = len(self.shapes)
-        self.shapes.append(tensor.shape)
+        if size > self.cap:
+            PlanTooLargeError.check(note, size, self.cap)
+        tensor = self.memoised(note)
+        if tensor is None:
+            tensor = self.model._memo_tensor(note, build, *args)
+        shapes = self.shapes
+        reg = len(shapes)
+        shapes.append(tensor._array.shape)
         self.steps.append(_new_tuple(Instr, ("load", reg, (), tensor, note)))
         return reg
 
     def emit(self, op: str, srcs: tuple[int, ...], shape: tuple[int, ...]) -> int:
-        reg = len(self.shapes)
-        self.shapes.append(shape)
+        shapes = self.shapes
+        reg = len(shapes)
+        shapes.append(shape)
         self.steps.append(_new_tuple(Instr, (op, reg, srcs, None, "")))
         return reg
 
@@ -171,7 +179,8 @@ class _PlanBuilder:
         return reg
 
     def contract(self, a: int, b: int) -> int:
-        left, right = self.shapes[a], self.shapes[b]
+        shapes = self.shapes
+        left, right = shapes[a], shapes[b]
         if left[-1] != right[0]:
             raise DimensionMismatchError(
                 f"plan step would contract shapes {left} and {right}"
@@ -183,12 +192,14 @@ class _PlanBuilder:
         note, tensor = constant
         return self.load(note, tensor.size, _constant, tensor)
 
-    def columnwise(self, node: dsl.Formula, a: int, b: int) -> int:
+    def columnwise(self, kind: type, a: int, b: int) -> int:
         """One step combining registers ``a`` and ``b``, the lowered operands
-        of binary ``node``, column by column with its connective tensor."""
-        self.expect(b, self.shapes[a], "right operand of a connective")
-        t = self.load_constant(_CONNECTIVES[type(node)])
-        return self.emit("columnwise", (t, a, b), self.shapes[a])
+        of a binary node of type ``kind``, column by column with its
+        connective tensor."""
+        shape = self.shapes[a]
+        self.expect(b, shape, "right operand of a connective")
+        t = self.load_constant(_CONNECTIVES[kind])
+        return self.emit("columnwise", (t, a, b), shape)
 
     def load_predicate(self, pred: str) -> int:
         """Load the (2, n) truth matrix of predicate ``pred``."""
@@ -210,21 +221,24 @@ class _PlanBuilder:
         return self.contract(reg, atom)
 
     def lower_formula(self, f: dsl.Formula) -> int:
-        match f:
-            case dsl.Atom(pred, arg):
-                return self.apply(self.load_predicate(pred), arg)
-            case dsl.RelAtom(rel, args):
-                return self.apply(self.load_slice(rel, args[:-1]), args[-1])
-            case dsl.Not(body):
-                b = self.lower_formula(body)
-                return self.contract(self.load_constant(_CONNECTIVES[dsl.Not]), b)
-            case dsl.And(left, right) | dsl.Or(left, right) | dsl.Implies(left, right):
-                return self.columnwise(f, self.lower_formula(left), self.lower_formula(right))
-            case dsl.ForAll(subset, superset):
-                x, y = self.lower_operand(subset), self.lower_operand(superset)
-                return self.emit("forall", (x, y), (2,))
-            case dsl.Exists(body):
-                return self.emit("exists", (self.lower_operand(body),), (2,))
+        """The register holding ``f``.  Each nesting level costs one frame,
+        so an AST 700 deep lowers under the default recursion limit."""
+        kind = type(f)
+        if kind is dsl.Atom:
+            return self.apply(self.load_predicate(f.pred), f.arg)
+        if kind is dsl.RelAtom:
+            args = f.args
+            return self.apply(self.load_slice(f.rel, args[:-1]), args[-1])
+        if kind is dsl.And or kind is dsl.Or or kind is dsl.Implies:
+            return self.columnwise(kind, self.lower_formula(f.left), self.lower_formula(f.right))
+        if kind is dsl.Not:
+            b = self.lower_formula(f.body)
+            return self.contract(self.load_constant(_CONNECTIVES[dsl.Not]), b)
+        if kind is dsl.ForAll:
+            x, y = self.lower_operand(f.subset), self.lower_operand(f.superset)
+            return self.emit("forall", (x, y), (2,))
+        if kind is dsl.Exists:
+            return self.emit("exists", (self.lower_operand(f.body),), (2,))
         raise TypeError(f"not a formula node: {f!r}")
 
     def lower_operand(self, f: dsl.Formula) -> int:
@@ -334,27 +348,30 @@ def _oracle_truth(f: dsl.Formula, m: Model, x: int | None) -> bool:
     A connective evaluates both operands, so ``VAR`` outside every
     quantifier is refused wherever it sits.
     """
-    match f:
-        case dsl.Atom(pred, arg):
-            i = _assigned(x) if arg is dsl.VAR else m.atom_index(arg)
-            return i in m.predicate_extension(pred)
-        case dsl.RelAtom(rel, args):
-            decl = m.relation_decl(rel)
-            indices = [_assigned(x) if a is dsl.VAR else m.atom_index(a) for a in args]
-            return len(indices) == decl.arity and decl.key(indices) in decl.keys
-        case dsl.Not(body):
-            return not _oracle_truth(body, m, x)
-        case dsl.And(left, right):
-            return _oracle_truth(left, m, x) & _oracle_truth(right, m, x)
-        case dsl.Or(left, right):
-            return _oracle_truth(left, m, x) | _oracle_truth(right, m, x)
-        case dsl.Implies(left, right):
-            return (not _oracle_truth(left, m, x)) | _oracle_truth(right, m, x)
-        case dsl.ForAll(subset, superset):
-            domain = range(m.domain_size)
-            return all(_oracle_truth(superset, m, y) for y in domain if _oracle_truth(subset, m, y))
-        case dsl.Exists(body):
-            return any(_oracle_truth(body, m, y) for y in range(m.domain_size))
+    kind = type(f)
+    if kind is dsl.Atom:
+        arg = f.arg
+        i = _assigned(x) if arg is dsl.VAR else m.atom_index(arg)
+        return i in m.predicate_extension(f.pred)
+    if kind is dsl.RelAtom:
+        decl = m.relation_decl(f.rel)
+        indices = [_assigned(x) if a is dsl.VAR else m.atom_index(a) for a in f.args]
+        return len(indices) == decl.arity and decl.key(indices) in decl.keys
+    if kind is dsl.And:
+        return _oracle_truth(f.left, m, x) & _oracle_truth(f.right, m, x)
+    if kind is dsl.Or:
+        return _oracle_truth(f.left, m, x) | _oracle_truth(f.right, m, x)
+    if kind is dsl.Implies:
+        return (not _oracle_truth(f.left, m, x)) | _oracle_truth(f.right, m, x)
+    if kind is dsl.Not:
+        return not _oracle_truth(f.body, m, x)
+    if kind is dsl.ForAll:
+        subset, superset = f.subset, f.superset
+        domain = range(m.domain_size)
+        return all(_oracle_truth(superset, m, y) for y in domain if _oracle_truth(subset, m, y))
+    if kind is dsl.Exists:
+        body = f.body
+        return any(_oracle_truth(body, m, y) for y in range(m.domain_size))
     raise TypeError(f"not a formula node: {f!r}")
 
 

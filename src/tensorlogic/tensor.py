@@ -113,7 +113,8 @@ class Tensor:
         return self.shape == other.shape and bool(np.array_equal(self._array, other._array))
 
     def __hash__(self) -> int:
-        return hash((self.shape, self._array.tobytes()))
+        # ``+ 0.0`` maps -0.0 to 0.0, which ``==`` does not tell apart.
+        return hash((self.shape, (self._array + 0.0).tobytes()))
 
     def allclose(self, other: "Tensor", tol: float = FLOAT_TOL) -> bool:
         """Entrywise comparison within absolute tolerance ``tol``."""

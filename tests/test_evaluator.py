@@ -246,6 +246,30 @@ class TestOracle:
         assert oracle_set_eval(PartialRel("loves", ("j",)), fixture_model) == {0}
 
 
+#: Every walk over a formula's AST, as a call on a formula and a model.
+AST_WALKS = {
+    "compile_formula": compile_formula,
+    "evaluate": evaluate,
+    "oracle_eval": oracle_eval,
+    "oracle_set_eval": oracle_set_eval,
+    "print_formula": lambda f, m: print_formula(f),
+}
+NON_NODES = {
+    "text": "p(a)",
+    "object": object(),
+    "below-not": Not("p(a)"),
+    "below-exists": Exists(object()),
+}
+
+
+@pytest.mark.parametrize("node", NON_NODES.values(), ids=NON_NODES)
+@pytest.mark.parametrize("walk", AST_WALKS.values(), ids=AST_WALKS)
+def test_every_ast_walk_refuses_a_non_node(walk, node):
+    m = Model.from_names(["a"], {"p": ["a"]})
+    with pytest.raises(TypeError, match="not a formula node"):
+        walk(node, m)
+
+
 class TestExhaustiveAgreement:
     def test_all_connective_formulas_on_all_leaf_valuations(self):
         models = leaf_valuation_models()

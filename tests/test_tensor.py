@@ -85,6 +85,9 @@ class TestTensorInvariants:
         assert Tensor([1, 2]) == Tensor([1.0, 2.0])
         assert Tensor([1, 2]) != Tensor([[1, 2]])
         assert hash(Tensor([1, 2])) == hash(Tensor([1, 2]))
+        assert Tensor([1.0, 0.0]) == Tensor([1.0, -0.0])
+        assert hash(Tensor([1.0, 0.0])) == hash(Tensor([1.0, -0.0]))
+        assert len({Tensor([1.0, 0.0]), Tensor([1.0, -0.0])}) == 1
 
     def test_scalar_carrier_item(self):
         assert Tensor([4.0]).item() == 4.0

@@ -129,6 +129,39 @@ MUTANTS = (
         ("tests/test_plan_memo.py",),
     ),
     Mutant(
+        "cap-compared-only-on-a-memo-miss",
+        "src/tensorlogic/evaluator.py",
+        "        if size > self.cap:\n"
+        "            PlanTooLargeError.check(note, size, self.cap)\n"
+        "        tensor = self.memoised(note)\n"
+        "        if tensor is None:\n",
+        "        tensor = self.memoised(note)\n"
+        "        if tensor is None:\n"
+        "            PlanTooLargeError.check(note, size, self.cap)\n",
+        ("tests/test_plan_memo.py::test_cap_is_checked_before_the_memo_and_before_any_build",),
+    ),
+    Mutant(
+        "oracle-or-as-and",
+        "src/tensorlogic/evaluator.py",
+        "return _oracle_truth(f.left, m, x) | _oracle_truth(f.right, m, x)",
+        "return _oracle_truth(f.left, m, x) & _oracle_truth(f.right, m, x)",
+        ("tests/test_evaluator.py",),
+    ),
+    Mutant(
+        "printer-leaves-and-bare-under-not",
+        "src/tensorlogic/dsl.py",
+        "if _precedence(body) < _PRECEDENCE[Not]:",
+        "if _precedence(body) < _PRECEDENCE[And]:",
+        ("tests/test_dsl.py",),
+    ),
+    Mutant(
+        "crisp-lookup-by-value",
+        "src/tensorlogic/evaluator.py",
+        "verdict = _CRISP.get(result.tobytes())",
+        "verdict = _CRISP.get((result + 0.0).tobytes())",
+        ("tests/test_plan_memo.py::test_a_result_that_is_not_a_plain_crisp_pair_keeps_its_floats",),
+    ),
+    Mutant(
         "snap-tolerance-too-lax",
         "src/tensorlogic/tensor.py",
         "(np.abs(arr - bits) <= FLOAT_TOL)",
