@@ -8,7 +8,7 @@ off as the evaluation trace of the formula.
 
 A relation is never loaded whole.  Applying it loads the (2, n) slice that
 fixes every argument but the last, built by n probes of the relation's
-stored keys and noted ``rel:loves(j,_)``; a full application then contracts
+stored tuples and noted ``rel:loves(j,_)``; a full application then contracts
 that slice with the last argument's one-hot vector, as a predicate
 application does.  So no plan holds a relation tensor of rank above 2.
 
@@ -356,7 +356,7 @@ def _oracle_truth(f: dsl.Formula, m: Model, x: int | None) -> bool:
     if kind is dsl.RelAtom:
         decl = m.relation_decl(f.rel)
         indices = [_assigned(x) if a is dsl.VAR else m.atom_index(a) for a in f.args]
-        return len(indices) == decl.arity and decl.key(indices) in decl.keys
+        return tuple(indices) in decl.tuples
     if kind is dsl.And:
         return _oracle_truth(f.left, m, x) & _oracle_truth(f.right, m, x)
     if kind is dsl.Or:

@@ -7,9 +7,8 @@ vector, and subsets of the domain map to 0/1 characteristic vectors.  All
 tensor indices downstream inherit this ordering.  :meth:`Model.from_names` is
 the one constructor and the one check: it resolves every name to its index
 and rejects a malformed model before anything is stored.  A relation is
-stored once, as the keys of :class:`RelationDecl`: the positions of its true
-entries in its dense tensor, which dense builds, slices and the oracle all
-read as they are.
+stored once, as its extension: the set of its index tuples in
+:class:`RelationDecl`, which dense builds, slices and the oracle all read.
 
 Truth values live in a separate 2-dimensional space with basis "true" /
 "false".  :class:`TruthVec` is deliberately a distinct type from
@@ -21,9 +20,8 @@ cannot be mixed by accident.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import add, mul
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain, compress
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -42,46 +40,16 @@ from .tensor import FLOAT_TOL, Tensor, _snap01, one_hot
 
 @dataclass(frozen=True)
 class RelationDecl:
-    """An n-ary relation extension stored as the set of its keys.
-
-    Over a domain of ``size`` atoms, tuple (t1, ..., tk) has the key
-    t1 + t2*size + ... + tk*size**(k-1): the flat position of its true entry
-    in the true row of the dense (2, size, ..., size) tensor, whose rightmost
-    index is the first argument.  Keys are Python ints, so no arity
-    overflows them.  :meth:`key` encodes one tuple; :meth:`Model.from_names`
-    folds a whole relation's tuples into keys the same way.  Readers outside
-    this module need no layout: :meth:`true_columns` answers a slice.
-    """
+    """An n-ary relation extension stored as index tuples, first argument
+    first."""
 
     arity: int
-    size: int
-    keys: frozenset[int]
-
-    def key(self, indices: Sequence[int]) -> int:
-        """The key of a tuple of atom indices; a prefix of a tuple gets the
-        key of that prefix followed by atom 0 in every open slot."""
-        key = 0
-        for i in reversed(indices):
-            key = key * self.size + i
-        return key
-
-    def true_columns(self, bound: Sequence[int]) -> list[int]:
-        """The atoms j for which ``bound`` followed by j is a stored tuple,
-        found by n probes of the keys: ``bound`` followed by atom j has the
-        key of ``bound`` plus j * size**len(bound)."""
-        base, stride = self.key(bound), self.size ** len(bound)
-        return [j for j in range(self.size) if base + j * stride in self.keys]
-
-    @property
-    def tuples(self) -> frozenset[tuple[int, ...]]:
-        """The index tuples, decoded from the keys."""
-        n = self.size
-        return frozenset(tuple(key // n**i % n for i in range(self.arity)) for key in self.keys)
+    tuples: frozenset[tuple[int, ...]]
 
 
 @dataclass(frozen=True, init=False)
 class Model:
-    """Immutable finite structure: atoms, predicate sets, relation key sets.
+    """Immutable finite structure: atoms, predicate sets, relation tuple sets.
 
     Extensions are stored by atom index.  :meth:`from_names` is the one
     constructor and runs every check once; calling ``Model(...)`` directly
@@ -125,14 +93,15 @@ class Model:
                 preds[p] = frozenset(map(resolve, ext))
             except KeyError as err:
                 raise UnknownAtomError(err.args[0], f"in predicate {p!r}") from None
-        # Each relation's names are resolved flat, so every name is checked
-        # whatever the length of its tuple; tuples of another length, or an
-        # arity below 1, are refused below before any key is folded.
+        # Each relation's names are resolved flat and zipped back into
+        # arity-tuples; a set zipped from tuples of another length, or at an
+        # arity below 1, is refused below and never stored.
         resolved = {}
         for r, (arity, tuples) in (relations or {}).items():
             tuples = list(tuples)
+            indices = map(resolve, chain.from_iterable(tuples))
             try:
-                resolved[r] = arity, tuples, list(map(resolve, chain.from_iterable(tuples)))
+                resolved[r] = arity, tuples, frozenset(zip(*[indices] * max(arity, 1)))
             except KeyError as err:
                 raise UnknownAtomError(err.args[0], f"in relation {r!r}") from None
         if not names:
@@ -145,7 +114,7 @@ class Model:
                 raise DuplicateNameError(f"symbol name {name!r} is already declared")
             seen.add(name)
         rels = {}
-        for name, (arity, tuples, flat) in resolved.items():
+        for name, (arity, tuples, index_tuples) in resolved.items():
             if arity < 1:
                 raise ArityError(f"relation {name!r} declared with arity {arity}")
             if set(map(len, tuples)) - {arity}:
@@ -154,12 +123,7 @@ class Model:
                     f"tuple {tuple(tup)} in relation {name!r} "
                     f"has length {len(tup)}, declared arity is {arity}"
                 )
-            # The keys fold column by column from the last argument, as
-            # RelationDecl.key folds one tuple, but at C speed.
-            keys = flat[arity - 1 :: arity]
-            for j in reversed(range(arity - 1)):
-                keys = map(add, map(mul, keys, repeat(len(names))), flat[j::arity])
-            rels[name] = RelationDecl(arity, len(names), frozenset(keys))
+            rels[name] = RelationDecl(arity, index_tuples)
         model = object.__new__(cls)
         # ``__init__`` refuses every call, so the frozen fields are set directly.
         vars(model).update(

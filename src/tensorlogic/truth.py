@@ -10,13 +10,12 @@ Argument order convention: the rightmost domain index of a relation tensor
 corresponds to the first argument of the relation.  Contraction consumes the
 rightmost index, so feeding arguments in surface order (subject first) is
 correct, and partially applied relations remain well-formed relational
-tensors.  A relation is stored as its keys, the flat positions of the true
-entries in its dense tensor's true row (see
-:class:`~tensorlogic.model.RelationDecl`): :func:`build_relation` fills them
-in, and :func:`build_relation_slice` builds the predicate matrix that binding
-every argument but the last leaves from n probes of the keys
-(:meth:`~tensorlogic.model.RelationDecl.true_columns`), without the dense
-tensor; plans load relations only that way.  One fill builds every
+tensors.  A relation is stored as its set of index tuples (see
+:class:`~tensorlogic.model.RelationDecl`): :func:`build_relation` fills the
+dense tensor at their flat positions, the one place that knows its layout,
+and :func:`build_relation_slice` builds the predicate matrix that binding
+every argument but the last leaves from n probes of the tuple set, without
+the dense tensor; plans load relations only that way.  One fill builds every
 truth tensor, dense or sliced: the false row is one minus the true row, so
 each column is a truth basis vector by construction.
 
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import InitVar, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -203,7 +203,9 @@ def build_relation(
     decl = m.relation_decl(name)
     n, k = m.domain_size, decl.arity
     ElementCapError.check(name, 2 * n**k, cap)
-    tensor = _truth_tensor((n,) * k, list(decl.keys))
+    # Tuple (t1, ..., tk) is true at flat position t1 + t2*n + ... + tk*n**(k-1).
+    tuples = np.fromiter(chain.from_iterable(decl.tuples), np.intp).reshape(-1, k)
+    tensor = _truth_tensor((n,) * k, tuples @ n ** np.arange(k))
     if k == 1:
         return PredicateMatrix(tensor, validate=False)
     return RelationTensor(k, tensor, validate=False)
@@ -219,9 +221,8 @@ def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Predica
     with the one-hot vectors of t1, ..., t(k-1) in that order leaves the
     index of tk.  The result is therefore bitwise
     ``partial_apply(build_relation(m, name), one-hots of bound)``, built in
-    2n elements rather than 2n^k: its true columns are
-    :meth:`~tensorlogic.model.RelationDecl.true_columns`, n probes of the
-    stored keys.
+    2n elements rather than 2n^k: column j is true when ``bound`` followed
+    by j is a stored tuple, n probes of the tuple set.
     """
     decl = m.relation_decl(name)
     if len(bound) != decl.arity - 1:
@@ -229,8 +230,9 @@ def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Predica
             f"a slice of {name!r} (arity {decl.arity}) binds "
             f"{_count(decl.arity - 1, 'argument')}, got {len(bound)}"
         )
-    true_columns = decl.true_columns([m.atom_index(b) for b in bound])
-    return PredicateMatrix(_truth_tensor((decl.size,), true_columns), validate=False)
+    prefix, n = tuple(map(m.atom_index, bound)), m.domain_size
+    true_columns = [j for j in range(n) if prefix + (j,) in decl.tuples]
+    return PredicateMatrix(_truth_tensor((n,), true_columns), validate=False)
 
 
 def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> bool:

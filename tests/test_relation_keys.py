@@ -1,8 +1,9 @@
-"""A relation's stored keys, checked independently of the oracle.
+"""A relation's stored tuples, checked independently of the oracle.
 
-The oracle and the slice builder read the same stored keys, so an encoder
-fault would leave them agreeing.  These tests pin the bytes of every dense
-tensor and slice instead, and run a relation whose keys overflow int64.
+The oracle and the slice builder read the same stored tuples, so a fault in
+storing them would leave the two agreeing.  These tests pin the bytes of
+every dense tensor and slice instead, and run a relation too wide for any
+int64 flat position.
 """
 
 import contextlib
@@ -84,26 +85,11 @@ def test_dense_and_sliced_tensor_bytes_are_pinned():
     )
 
 
-def test_keys_are_true_row_positions(loves_model):
-    """(j, j), (m, m) and (m, j) sit at 0 + 0*2, 1 + 1*2 and 1 + 0*2."""
-    assert loves_model.relation_decl("loves").keys == {0, 1, 3}
-
-
-@pytest.mark.parametrize("arity", [1, 2, 3, 4])
-def test_from_names_folds_each_tuple_to_its_key(arity):
-    """``from_names`` folds a relation's keys a column at a time, apart from
-    :meth:`RelationDecl.key`; both must encode a tuple the same way."""
-    rng = random.Random(arity)
-    names = ["a", "b", "c"]
-    tuples = [t for t in itertools.product(names, repeat=arity) if rng.random() < 0.5]
-    decl = Model.from_names(names, None, {"r": (arity, tuples)}).relation_decl("r")
-    assert decl.keys == {decl.key([names.index(a) for a in t]) for t in tuples}
-
-
 @pytest.mark.parametrize("args", [("j",), ("m", "j", "j")])
 def test_oracle_refuses_a_tuple_of_another_length(loves_model, args):
-    """Key 0 is stored, and (j) and (m, j, j) also have key 0 over two atoms;
-    a tuple whose length is not the relation's arity is never stored."""
+    """(j) is a prefix of the stored (j, j), and (m, j, j) extends the stored
+    (m, j); a tuple whose length is not the relation's arity is never a
+    member of its tuple set."""
     assert oracle_eval(RelAtom("loves", args), loves_model) is False
 
 
@@ -120,7 +106,9 @@ def run(argv) -> tuple[int, str]:
 
 
 def test_relation_wider_than_int64_keys(tmp_path):
-    """3^70 overflows int64, so keys must stay Python ints."""
+    """A 70-ary relation over 3 atoms: 3^70 flat positions overflow int64.
+    Its slices, the oracle and the print round trip read the tuples, and
+    ``show`` reckons its cap in Python ints."""
     path = tmp_path / "wide.model"
     path.write_text(WIDE_TEXT)
     stored = "r(" + ", ".join(["b"] * 69 + ["a"]) + ")"

@@ -42,48 +42,32 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "key-fold-first-argument-most-significant",
-        "src/tensorlogic/model.py",
-        "keys = flat[arity - 1 :: arity]\n"
-        "            for j in reversed(range(arity - 1)):",
-        "keys = flat[::arity]\n"
-        "            for j in range(1, arity):",
+        "dense-index-first-argument-most-significant",
+        "src/tensorlogic/truth.py",
+        "tuples @ n ** np.arange(k)",
+        "tuples @ n ** np.arange(k)[::-1]",
         ("tests/test_relation_keys.py",),
     ),
     Mutant(
-        "key-first-argument-most-significant",
+        "from-names-stores-tuples-reversed",
         "src/tensorlogic/model.py",
-        "for i in reversed(indices):",
-        "for i in indices:",
-        ("tests/test_relation_keys.py",),
+        "frozenset(zip(*[indices] * max(arity, 1)))",
+        "frozenset(t[::-1] for t in zip(*[indices] * max(arity, 1)))",
+        ("tests/test_dsl.py::TestParseModel",),
     ),
     Mutant(
-        "slice-probe-stride-one-argument-short",
-        "src/tensorlogic/model.py",
-        "self.size ** len(bound)",
-        "self.size ** (len(bound) - 1)",
+        "slice-probe-open-slot-first",
+        "src/tensorlogic/truth.py",
+        "if prefix + (j,) in decl.tuples",
+        "if (j,) + prefix in decl.tuples",
         ("tests/test_relation_keys.py",),
     ),
     Mutant(
         "slice-probe-misses-last-atom",
-        "src/tensorlogic/model.py",
-        "range(self.size) if base",
-        "range(self.size - 1) if base",
+        "src/tensorlogic/truth.py",
+        "for j in range(n) if prefix",
+        "for j in range(n - 1) if prefix",
         ("tests/test_relation_keys.py",),
-    ),
-    Mutant(
-        "oracle-skips-arity-check",
-        "src/tensorlogic/evaluator.py",
-        "return len(indices) == decl.arity and decl.key(indices) in decl.keys",
-        "return decl.key(indices) in decl.keys",
-        ("tests/test_relation_keys.py",),
-    ),
-    Mutant(
-        "tuples-decoded-in-reverse",
-        "src/tensorlogic/model.py",
-        "for i in range(self.arity)) for key in self.keys)",
-        "for i in reversed(range(self.arity))) for key in self.keys)",
-        ("tests/test_dsl.py::TestParseModel",),
     ),
     Mutant(
         "from-names-skips-tuple-length-check",
@@ -109,8 +93,8 @@ MUTANTS = (
     Mutant(
         "slice-prefix-reversed",
         "src/tensorlogic/truth.py",
-        "decl.true_columns([m.atom_index(b) for b in bound])",
-        "decl.true_columns([m.atom_index(b) for b in bound[::-1]])",
+        "tuple(map(m.atom_index, bound))",
+        "tuple(map(m.atom_index, bound[::-1]))",
         ("tests/test_relation_keys.py",),
     ),
     Mutant(
@@ -181,6 +165,46 @@ MUTANTS = (
         "name in RESERVED\n            or name in predicates",
         "name in predicates",
         ("tests/test_dsl.py",),
+    ),
+    Mutant(
+        "column-off-by-one",
+        "src/tensorlogic/dsl.py",
+        "offset - line_start + 1",
+        "offset - line_start",
+        ("tests/test_dsl.py",),
+    ),
+    Mutant(
+        "formula-pattern-keeps-comments",
+        "src/tensorlogic/dsl.py",
+        'rf"(?:\\s+|#[^\\n]*)*(',
+        'rf"(?:\\s+)*(',
+        ("tests/test_dsl.py",),
+    ),
+    Mutant(
+        "model-pattern-keeps-comments",
+        "src/tensorlogic/dsl.py",
+        'rf"(?:[^\\S\\n]+|#[^\\n]*)*(',
+        'rf"(?:[^\\S\\n]+)*(',
+        ("tests/test_dsl.py",),
+    ),
+    Mutant(
+        "name-starts-with-a-digit",
+        "src/tensorlogic/dsl.py",
+        '_NAME = "[A-Za-z][A-Za-z0-9_]*"',
+        '_NAME = "[A-Za-z0-9][A-Za-z0-9_]*"',
+        ("tests/test_dsl.py",),
+    ),
+    Mutant(
+        "sweep-artifact-with-emptied-predicates",
+        "src/tensorlogic/evaluator.py",
+        "write_text(dsl.print_model(m))",
+        "write_text(\n"
+        "                \"\".join(\n"
+        "                    line.partition(\":\")[0] + \":\\n\" if line.startswith(\"pred \") else line\n"
+        "                    for line in dsl.print_model(m).splitlines(True)\n"
+        "                )\n"
+        "            )",
+        ("tests/test_evaluator.py::TestEquivalenceSweep",),
     ),
 )
 
