@@ -8,7 +8,8 @@ equivalence sweep.
 Exit codes are a stable contract: 0 means true (or, for sweep, zero
 disagreements), 1 means false (or disagreements found), 2 means any error
 (for sweep: no disagreement, but some instance exceeded the element cap).
-Pretty output uses the Unicode truth glyphs; records output emits one
+Pretty output uses the Unicode truth glyphs, so a standard output that
+cannot encode them is an error (exit 2); records output emits one
 self-describing JSON object per line with ASCII ``T``/``F`` so golden files
 stay portable.
 """
@@ -331,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (TensorLogicError, OSError, UnicodeDecodeError) as err:
+    except (TensorLogicError, OSError, UnicodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -26,16 +26,19 @@ non-linear steps.
 A tensor a plan loads depends on its load note and the model, not on the
 formula that applies it.  Each one is kept on the model under its load note
 the first time a plan loads it, so every plan over one model loads the same
-read-only objects.  That memo holds the constant loads too (the connective
-tensors and the true-row probe), each the one copy built at import.  A
-relation of arity k has at most n^(k-1) slices, one per bound prefix, so its
-slices in that memo never hold more than the 2 n^k elements of its dense
-tensor.  Every load is checked against the element cap before
-the memo is read, and the dimension preconditions of every step are checked
-at compile time from the model's domain size.  :func:`execute` therefore
-runs the steps directly on the payloads' read-only ndarrays, and reads its
-verdict straight off the two floats of the result register; a quantifier
-step runs the set-vector check and the decision kernel of
+read-only objects.  The plan builder's ``load`` is the one place that reads
+and fills that memo: it compares the element cap first, then probes the memo
+once, and on a miss stores the bare tensor a raw builder returns
+(``truth.predicate_tensor``, ``truth.relation_slice`` or
+``model.encode_atom``), with no typed wrapper.  That memo holds the constant
+loads too (the connective tensors and the true-row probe), each the one copy
+built at import.  A relation of arity k has at most n^(k-1) slices, one per
+bound prefix, so its slices in that memo never hold more than the 2 n^k
+elements of its dense tensor.  The dimension preconditions of every step are
+checked at compile time from the model's domain size.  :func:`execute`
+therefore runs the steps directly on the payloads' read-only ndarrays, and
+reads its verdict straight off the two floats of the result register; a
+quantifier step runs the set-vector check and the decision kernel of
 :mod:`tensorlogic.sets` straight on its operand registers.
 
 :func:`oracle_eval` is the independent referee: it evaluates the same bound
@@ -68,7 +71,7 @@ from .errors import (
 from .model import Model, TruthVec, _set_bits, encode_atom, truth_bot, truth_top
 from .sets import _TRUE_ROW_PROBE, _nonempty, _operands, _subset
 from .tensor import DEFAULT_ELEMENT_CAP, Tensor, _contract_arrays
-from .truth import build_predicate, build_relation_slice, connective_tensor
+from .truth import connective_tensor, predicate_tensor, relation_slice
 
 
 class Instr(NamedTuple):
@@ -123,14 +126,6 @@ def _constant(tensor: Tensor) -> Tensor:
     return tensor
 
 
-def _predicate_matrix(m: Model, pred: str) -> Tensor:
-    return build_predicate(m, pred).tensor
-
-
-def _relation_slice(m: Model, rel: str, bound: tuple[str, ...]) -> Tensor:
-    return build_relation_slice(m, rel, bound).tensor
-
-
 #: Builds a plan or a step from a tuple of all its fields, skipping the
 #: keyword handling of a ``NamedTuple``'s own constructor.
 _new_tuple = tuple.__new__
@@ -148,17 +143,20 @@ class _PlanBuilder:
 
     def load(self, note: str, size: int, build: Callable[..., Tensor], *args) -> int:
         """Load the model's tensor named by ``note``, of ``size`` elements,
-        built by ``build(*args)`` on first use.
+        built by ``build(*args)`` on first use: the one memo policy.
 
         The cap is compared first, so a tensor memoised under a larger cap is
         never handed to a plan compiled under a smaller one.  A tensor the
-        model already holds is served by one lookup of its memo.
+        model already holds is served by one lookup of its memo.  A model's
+        extensions never change, so neither does a tensor built from them.
+        Threads that race on a miss may each build, but ``dict.setdefault``
+        keeps the first one stored and hands that same object to every plan.
         """
         if size > self.cap:
             PlanTooLargeError.check(note, size, self.cap)
         tensor = self.memoised(note)
         if tensor is None:
-            tensor = self.model._memo_tensor(note, build, *args)
+            tensor = self.model._tensors.setdefault(note, build(*args))
         shapes = self.shapes
         reg = len(shapes)
         shapes.append(tensor._array.shape)
@@ -179,14 +177,10 @@ class _PlanBuilder:
         return reg
 
     def contract(self, a: int, b: int) -> int:
+        """Contract ``a``'s last index with ``b``'s first: (2, n)·(n,),
+        (2, 2)·(2, ...) or (2,)·(2, n) by construction, so they always meet."""
         shapes = self.shapes
-        left, right = shapes[a], shapes[b]
-        if left[-1] != right[0]:
-            raise DimensionMismatchError(
-                f"plan step would contract shapes {left} and {right}"
-            )
-        shape = left[:-1] + right[1:]
-        return self.emit("contract", (a, b), shape or (1,))
+        return self.emit("contract", (a, b), shapes[a][:-1] + shapes[b][1:])
 
     def load_constant(self, constant: tuple[str, Tensor]) -> int:
         note, tensor = constant
@@ -203,14 +197,14 @@ class _PlanBuilder:
 
     def load_predicate(self, pred: str) -> int:
         """Load the (2, n) truth matrix of predicate ``pred``."""
-        return self.load(f"pred:{pred}", 2 * self.n, _predicate_matrix, self.model, pred)
+        return self.load(f"pred:{pred}", 2 * self.n, predicate_tensor, self.model, pred)
 
     def load_slice(self, rel: str, bound: tuple[str, ...]) -> int:
         """Load the (2, n) slice of ``rel`` with its first arguments ``bound``."""
         if dsl.VAR in bound:
             raise TensorLogicError(f"the open slot of {rel!r} must be its last argument")
         note = f"rel:{rel}({','.join(bound + ('_',))})"
-        return self.load(note, 2 * self.n, _relation_slice, self.model, rel, bound)
+        return self.load(note, 2 * self.n, relation_slice, self.model, rel, bound)
 
     def apply(self, reg: int, arg: str | dsl._Variable) -> int:
         """Contract register ``reg`` with the one-hot vector of atom ``arg``;

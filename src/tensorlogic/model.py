@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -62,7 +62,8 @@ class Model:
     relations: dict[str, RelationDecl]
     #: Each atom name's index in ``atom_names``.
     _index: dict[str, int] = field(compare=False, repr=False)
-    #: Tensors that plans load, keyed by load note; see :meth:`_memo_tensor`.
+    #: Tensors that plans load, keyed by load note; filled and read only by
+    #: the plan builder's ``load`` in :mod:`tensorlogic.evaluator`.
     _tensors: dict[str, Tensor] = field(compare=False, repr=False)
 
     def __init__(self, *args, **kwargs):
@@ -152,19 +153,6 @@ class Model:
             return self.relations[name]
         except KeyError:
             raise UnknownRelationError(name) from None
-
-    def _memo_tensor(self, key: str, build: Callable[..., Tensor], *args) -> Tensor:
-        """The tensor stored under ``key``, built by ``build(*args)`` on first use.
-
-        A model's extensions never change, so neither does a tensor built
-        from them.  Threads that race on a miss may each build, but
-        ``dict.setdefault`` keeps the first one stored and hands that same
-        object to every caller.
-        """
-        tensor = self._tensors.get(key)
-        if tensor is None:
-            tensor = self._tensors.setdefault(key, build(*args))
-        return tensor
 
 
 def encode_atom(m: Model, name: str) -> Tensor:

@@ -13,11 +13,13 @@ correct, and partially applied relations remain well-formed relational
 tensors.  A relation is stored as its set of index tuples (see
 :class:`~tensorlogic.model.RelationDecl`): :func:`build_relation` fills the
 dense tensor at their flat positions, the one place that knows its layout,
-and :func:`build_relation_slice` builds the predicate matrix that binding
-every argument but the last leaves from n probes of the tuple set, without
-the dense tensor; plans load relations only that way.  One fill builds every
-truth tensor, dense or sliced: the false row is one minus the true row, so
-each column is a truth basis vector by construction.
+and :func:`relation_slice` builds the (2, n) tensor that binding every
+argument but the last leaves from n probes of the tuple set, without the
+dense tensor.  Plans load that bare tensor and :func:`predicate_tensor`'s,
+which :func:`build_relation_slice` and :func:`build_predicate` wrap as typed
+matrices.  One fill builds every truth tensor, dense or sliced: the false
+row is one minus the true row, so each column is a truth basis vector by
+construction.
 
 Connectives are constant tensors over the truth space: negation is the 2 x 2
 swap matrix, and each binary connective is a 2 x 2 x 2 tensor whose last index
@@ -183,11 +185,15 @@ def _truth_tensor(shape: tuple[int, ...], true_indices) -> Tensor:
     return Tensor._wrap(arr)
 
 
+def predicate_tensor(m: Model, name: str) -> Tensor:
+    """The (2, n) truth tensor of a declared predicate: column i is true iff
+    atom i is in the predicate's extension."""
+    return _truth_tensor((m.domain_size,), list(m.predicate_extension(name)))
+
+
 def build_predicate(m: Model, name: str) -> PredicateMatrix:
-    """Predicate matrix for a declared predicate: column i is true iff atom i
-    is in the predicate's extension."""
-    columns = list(m.predicate_extension(name))
-    return PredicateMatrix(_truth_tensor((m.domain_size,), columns), validate=False)
+    """Predicate matrix for a declared predicate: :func:`predicate_tensor`."""
+    return PredicateMatrix(predicate_tensor(m, name), validate=False)
 
 
 def build_relation(
@@ -211,8 +217,9 @@ def build_relation(
     return RelationTensor(k, tensor, validate=False)
 
 
-def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> PredicateMatrix:
-    """Predicate matrix of a relation with every argument but the last bound.
+def relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Tensor:
+    """The (2, n) truth tensor of a relation with every argument but the last
+    bound.
 
     ``bound`` names the first arity - 1 arguments, first argument first, and
     column j is the truth of the relation at ``bound`` followed by atom j.
@@ -220,9 +227,9 @@ def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Predica
     tuple (t1, ..., tk) at domain indices (tk, ..., t1), so contracting it
     with the one-hot vectors of t1, ..., t(k-1) in that order leaves the
     index of tk.  The result is therefore bitwise
-    ``partial_apply(build_relation(m, name), one-hots of bound)``, built in
-    2n elements rather than 2n^k: column j is true when ``bound`` followed
-    by j is a stored tuple, n probes of the tuple set.
+    ``partial_apply(build_relation(m, name), one-hots of bound).tensor``,
+    built in 2n elements rather than 2n^k: column j is true when ``bound``
+    followed by j is a stored tuple, n probes of the tuple set.
     """
     decl = m.relation_decl(name)
     if len(bound) != decl.arity - 1:
@@ -232,7 +239,13 @@ def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Predica
         )
     prefix, n = tuple(map(m.atom_index, bound)), m.domain_size
     true_columns = [j for j in range(n) if prefix + (j,) in decl.tuples]
-    return PredicateMatrix(_truth_tensor((n,), true_columns), validate=False)
+    return _truth_tensor((n,), true_columns)
+
+
+def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> PredicateMatrix:
+    """Predicate matrix of a relation with every argument but the last bound:
+    :func:`relation_slice`."""
+    return PredicateMatrix(relation_slice(m, name, bound), validate=False)
 
 
 def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> bool:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -20,12 +21,18 @@ from tests.helpers import DEEP_SHAPES, ONE_ATOM_TEXT, patch_sweep_tensor_path
 TOP, BOT = "\u22a4", "\u22a5"
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "tensorlogic", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
+
+
+#: An environment whose standard streams encode ASCII only, so no truth glyph
+#: can be written.
+ASCII_ENV = dict(os.environ, PYTHONIOENCODING="ascii")
 
 
 @pytest.fixture
@@ -372,6 +379,31 @@ class TestExitCodeContract:
         result = run_cli("eval", "--model", model_file, "--formula-file", str(path))
         assert result.returncode == 2
         assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "--formula", "mathematician(john)"],
+            ["eval", "--formula", "mathematician(tom)"],
+            ["truth-table", "and"],
+        ],
+        ids=["eval-true", "eval-false", "truth-table"],
+    )
+    def test_pretty_output_to_an_ascii_stdout_is_an_error(self, model_file, args):
+        if args[0] == "eval":
+            args = [*args, "--model", model_file]
+        result = run_cli(*args, env=ASCII_ENV)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("formula, code", [("mathematician(john)", 0), ("mathematician(tom)", 1)])
+    def test_records_output_to_an_ascii_stdout_keeps_its_exit_code(self, model_file, formula, code):
+        result = run_cli(
+            "eval", "--model", model_file, "--formula", formula, "--output", "records", env=ASCII_ENV
+        )
+        assert result.returncode == code
+        assert json.loads(result.stdout)["result"] == "TF"[code]
+        assert result.stderr == ""
 
     def test_files_with_a_byte_order_mark(self, tmp_path, capsys):
         model = tmp_path / "bom.model"

@@ -36,7 +36,12 @@ from tensorlogic.generate import random_formula, random_model
 from tensorlogic.model import Model, TruthVec, encode_atom
 from tensorlogic.sets import SetVector, exists, forall
 from tensorlogic.tensor import Tensor, contract
-from tensorlogic.truth import connective_binary
+from tensorlogic.truth import (
+    PredicateMatrix,
+    build_predicate,
+    build_relation_slice,
+    connective_binary,
+)
 
 
 def reference_execute(plan):
@@ -242,6 +247,67 @@ def test_the_verdict_is_the_truth_vector_of_the_result_register():
         expected = reference_execute(plan)
         assert (repr(verdict.t), repr(verdict.f)) == (repr(expected.t), repr(expected.f))
         assert verdict.extrapolated is False
+
+
+def public_matrix(m: Model, note: str) -> PredicateMatrix | None:
+    """The public builder's matrix for a ``pred:`` or ``rel:`` load note, or
+    None for any other load."""
+    kind, _, name = note.partition(":")
+    if kind == "pred":
+        return build_predicate(m, name)
+    if kind == "rel":
+        rel, _, args = name.partition("(")
+        return build_relation_slice(m, rel, tuple(args.rstrip(")").split(",")[:-1]))
+    return None
+
+
+def test_plan_loads_equal_the_public_builders_bitwise():
+    # Plans load the raw tensors that ``build_predicate`` and
+    # ``build_relation_slice`` wrap; the two entry points must not drift.
+    rng = random.Random(24)
+    instances = []
+    for _ in range(400):
+        m = random_model(rng, max_domain=5)
+        instances += [(m, random_formula(rng, m, max_depth=3)) for _ in range(3)]
+    for n in (40, 160):
+        m = scale_shaped_model(n)
+        instances += [(m, parse_formula(text, m)) for text in SCALE_FORMULAS]
+    compared = {"pred": 0, "rel": 0}
+    for m, f in instances:
+        for instr in compile_formula(f, m).steps:
+            public = public_matrix(m, instr.note) if instr.op == "load" else None
+            if public is None:
+                continue
+            assert type(instr.payload) is Tensor
+            assert instr.payload.shape == public.tensor.shape
+            assert instr.payload.array.tobytes() == public.tensor.array.tobytes()
+            compared[instr.note.partition(":")[0]] += 1
+    assert min(compared.values()) > 100
+
+
+def test_compiling_on_a_fresh_model_builds_no_predicate_matrix(monkeypatch):
+    built = []
+    original = PredicateMatrix.__post_init__
+
+    def counted(self, *args):
+        built.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(PredicateMatrix, "__post_init__", counted)
+    rng = random.Random(25)
+    loaded = set()
+    for _ in range(200):
+        m = random_model(rng, max_domain=5)
+        for _ in range(3):
+            compile_formula(random_formula(rng, m, max_depth=3), m)
+        loaded.update(note.partition(":")[0] for note in m._tensors)
+    m = scale_shaped_model(40)
+    for text in SCALE_FORMULAS:
+        compile_formula(parse_formula(text, m), m)
+    assert built == []
+    assert {"pred", "rel"} <= loaded
+    build_predicate(m, "p0")
+    assert len(built) == 1
 
 
 def loaded_result(values) -> ContractionPlan:

@@ -118,11 +118,30 @@ MUTANTS = (
         "        if size > self.cap:\n"
         "            PlanTooLargeError.check(note, size, self.cap)\n"
         "        tensor = self.memoised(note)\n"
-        "        if tensor is None:\n",
+        "        if tensor is None:\n"
+        "            tensor = self.model._tensors.setdefault(note, build(*args))\n",
         "        tensor = self.memoised(note)\n"
         "        if tensor is None:\n"
-        "            PlanTooLargeError.check(note, size, self.cap)\n",
+        "            PlanTooLargeError.check(note, size, self.cap)\n"
+        "            tensor = self.model._tensors.setdefault(note, build(*args))\n",
         ("tests/test_plan_memo.py::test_cap_is_checked_before_the_memo_and_before_any_build",),
+    ),
+    Mutant(
+        "plan-load-never-memoised",
+        "src/tensorlogic/evaluator.py",
+        "tensor = self.model._tensors.setdefault(note, build(*args))",
+        "tensor = build(*args)",
+        ("tests/test_plan_memo.py",),
+    ),
+    Mutant(
+        "predicate-tensor-complement",
+        "src/tensorlogic/truth.py",
+        "_truth_tensor((m.domain_size,), list(m.predicate_extension(name)))",
+        "_truth_tensor(\n"
+        "        (m.domain_size,),\n"
+        "        [i for i in range(m.domain_size) if i not in m.predicate_extension(name)],\n"
+        "    )",
+        ("tests/test_evaluator.py",),
     ),
     Mutant(
         "oracle-or-as-and",
