@@ -8,10 +8,19 @@ equivalence sweep.
 Exit codes are a stable contract: 0 means true (or, for sweep, zero
 disagreements), 1 means false (or disagreements found), 2 means any error
 (for sweep: no disagreement, but some instance exceeded the element cap).
+
+Each command returns its exit code and its whole output as a list of lines,
+and prints nothing; ``main`` writes the lines to stdout in one write and
+prints the one ``error:`` line on stderr. So every exit 2 comes with one
+``error:`` line, a failed ``truth-table --check`` and a failed ``show``
+round trip included, and a failing command writes nothing to stdout, except
+``sweep``, whose records and summary come before its capped-instance error.
+(A usage error is argparse's own: exit 2 with a usage message.)
+
 Pretty output uses the Unicode truth glyphs, so a standard output that
-cannot encode them is an error (exit 2); records output emits one
-self-describing JSON object per line with ASCII ``T``/``F`` so golden files
-stay portable.
+cannot encode them is an error (exit 2) whose message points to records
+output; records output emits one self-describing JSON object per line with
+ASCII ``T``/``F`` so golden files stay portable.
 """
 
 from __future__ import annotations
@@ -41,6 +50,16 @@ from .truth import (
 )
 
 _GLYPHS = {True: "⊤", False: "⊥"}
+_LETTERS = {True: "T", False: "F"}
+
+#: What a command hands ``main``: its exit code, its stdout lines, and the
+#: message of an ``error:`` line to write after them (``None`` for none).
+Outcome = tuple[int, list[str], str | None]
+
+
+def _record(command: str, **fields: object) -> str:
+    """One records line: a JSON object naming its command, keys sorted."""
+    return json.dumps({"command": command, **fields}, sort_keys=True)
 
 
 def _format_number(x: float) -> str:
@@ -68,7 +87,7 @@ def _read_model(path: str) -> Model:
     return parse_model(Path(path).read_text(encoding="utf-8-sig"))
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> Outcome:
     m = _read_model(args.model)
     if args.formula is not None:
         text = args.formula
@@ -78,27 +97,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     result = execute(compile_formula(formula, m, cap=args.cap))
     truth = result.as_bool()
     if args.output == "records":
-        print(
-            json.dumps(
-                {
-                    "command": "eval",
-                    "formula": text.strip(),
-                    "result": "T" if truth else "F",
-                    "true_weight": result.t,
-                    "false_weight": result.f,
-                },
-                sort_keys=True,
-            )
+        line = _record(
+            "eval",
+            formula=text.strip(),
+            result=_LETTERS[truth],
+            true_weight=result.t,
+            false_weight=result.f,
         )
     else:
-        print(_GLYPHS[truth])
-    return 0 if truth else 1
+        line = _GLYPHS[truth]
+    return 0 if truth else 1, [line], None
 
 
-def _cmd_truth_table(args: argparse.Namespace) -> int:
+def _cmd_truth_table(args: argparse.Namespace) -> Outcome:
     name = args.connective
     conn = connective_tensor(name)
-    records = args.output == "records"
     vec = {True: truth_top(), False: truth_bot()}
     rows: list[tuple[tuple[bool, ...], bool]] = []
     if conn.kind is Connective.NOT:
@@ -117,126 +130,94 @@ def _cmd_truth_table(args: argparse.Namespace) -> int:
         for inputs, output in rows:
             leaves = (Atom("t" if x else "f", "x") for x in inputs)
             if oracle_eval(node(*leaves), model) != output:
-                print(f"self-check failed at inputs {inputs}", file=sys.stderr)
-                return 2
+                raise TensorLogicError(f"self-check failed at inputs {inputs}")
 
-    if records:
-        tensor_record = {
-            "command": "truth-table",
-            "connective": name,
-            "tensor": conn.tensor.tolist(),
-        }
-        print(json.dumps(tensor_record, sort_keys=True))
+    if args.output == "records":
+        record = functools.partial(_record, "truth-table", connective=name)
+        lines = [record(tensor=conn.tensor.tolist())]
         for inputs, output in rows:
-            print(
-                json.dumps(
-                    {
-                        "command": "truth-table",
-                        "connective": name,
-                        "inputs": ["T" if x else "F" for x in inputs],
-                        "output": "T" if output else "F",
-                    },
-                    sort_keys=True,
-                )
-            )
-        return 0
+            lines.append(record(inputs=[_LETTERS[x] for x in inputs], output=_LETTERS[output]))
+        return 0, lines, None
 
     if conn.kind is Connective.NOT:
-        print(f"{name}: swap matrix")
-        print("\n".join(_format_rows(conn.tensor.array)))
+        lines = [f"{name}: swap matrix", *_format_rows(conn.tensor.array)]
     else:
-        print(f"{name}: block matrix [first argument true | first argument false]")
-        print("\n".join(_format_blocks(conn.tensor.array)))
-    print()
+        lines = [f"{name}: block matrix [first argument true | first argument false]"]
+        lines += _format_blocks(conn.tensor.array)
+    lines.append("")
     for inputs, output in rows:
         shown = " ".join(_GLYPHS[x] for x in inputs)
-        print(f"{shown} -> {_GLYPHS[output]}")
+        lines.append(f"{shown} -> {_GLYPHS[output]}")
     if args.check:
-        print("self-check: ok")
-    return 0
+        lines.append("self-check: ok")
+    return 0, lines, None
 
 
-def _cmd_show(args: argparse.Namespace) -> int:
+def _cmd_show(args: argparse.Namespace) -> Outcome:
     m = _read_model(args.model)
     name = args.name
+    records = args.output == "records"
+    domain = f"over domain ({', '.join(m.atom_names)})"
     if name in m.predicates:
         n = m.domain_size
         ElementCapError.check(name, max(2 * n, n * n), args.cap)
         truth_form = build_predicate(m, name)
         set_form = build_set_predicate(m, name)
-        round_trip_ok = (
+        if not (
             convert_truth_to_set(truth_form) == set_form
             and convert_set_to_truth(set_form) == truth_form
-        )
-        if args.output == "records":
-            print(
-                json.dumps(
-                    {
-                        "command": "show",
-                        "kind": "predicate",
-                        "name": name,
-                        "truth_matrix": truth_form.tensor.tolist(),
-                        "set_matrix": set_form.tensor.tolist(),
-                        "conversion_round_trip": round_trip_ok,
-                    },
-                    sort_keys=True,
-                )
+        ):
+            raise TensorLogicError(f"conversion round-trip failed for {name!r}")
+        if records:
+            line = _record(
+                "show",
+                kind="predicate",
+                name=name,
+                truth_matrix=truth_form.tensor.tolist(),
+                set_matrix=set_form.tensor.tolist(),
+                conversion_round_trip=True,
             )
-        else:
-            print(f"predicate {name} over domain ({', '.join(m.atom_names)})")
-            print("truth formulation (2 x n):")
-            print("\n".join(_format_rows(truth_form.tensor.array)))
-            print("set formulation (diagonal n x n):")
-            print("\n".join(_format_rows(set_form.tensor.array)))
-            print(f"conversion round-trip: {'ok' if round_trip_ok else 'MISMATCH'}")
-        return 0 if round_trip_ok else 2
+            return 0, [line], None
+        return 0, [
+            f"predicate {name} {domain}",
+            "truth formulation (2 x n):",
+            *_format_rows(truth_form.tensor.array),
+            "set formulation (diagonal n x n):",
+            *_format_rows(set_form.tensor.array),
+            "conversion round-trip: ok",
+        ], None
     if name in m.relations:
-        built = build_relation(m, name, cap=args.cap)
-        arr = built.tensor.array
+        tensor = build_relation(m, name, cap=args.cap).tensor
         arity = m.relations[name].arity
-        if args.output == "records":
-            print(
-                json.dumps(
-                    {
-                        "command": "show",
-                        "kind": "relation",
-                        "name": name,
-                        "arity": arity,
-                        "tensor": built.tensor.tolist(),
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(f"relation {name}/{arity} over domain ({', '.join(m.atom_names)})")
-            print("true slice (rightmost index is the first argument):")
-            print(np.array2string(arr[0].astype(int)))
-            print("false slice:")
-            print(np.array2string(arr[1].astype(int)))
-        return 0
-    print(f"error: {name!r} is not declared in the model", file=sys.stderr)
-    return 2
+        if records:
+            line = _record("show", kind="relation", name=name, arity=arity, tensor=tensor.tolist())
+            return 0, [line], None
+        return 0, [
+            f"relation {name}/{arity} {domain}",
+            "true slice (rightmost index is the first argument):",
+            np.array2string(tensor.array[0].astype(int)),
+            "false slice:",
+            np.array2string(tensor.array[1].astype(int)),
+        ], None
+    raise TensorLogicError(f"{name!r} is not declared in the model")
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> Outcome:
     config = SweepConfig(
         max_domain=args.max_domain, max_depth=args.max_depth, seed=args.seed, count=args.count
     )
     report = equivalence_sweep(config, artifact_dir=args.artifacts)
-    lines = report.to_lines()
+    records = report.to_lines()
     if args.report:
-        Path(args.report).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if args.output == "records":
-        for line in lines:
-            print(line)
-    print(report.summary())
+        Path(args.report).write_text("\n".join(records) + "\n", encoding="utf-8")
+    lines = records if args.output == "records" else []
+    lines.append(report.summary())
     if report.disagreements:
-        return 1
+        return 1, lines, None
     if report.errors:
         failed = f"{len(report.errors)} of {len(report.verdicts)} instances"
-        print(f"error: the tensor path failed on {failed}", file=sys.stderr)
-        return 2
-    return 0
+        return 2, lines, f"the tensor path failed on {failed}"
+    return 0, lines, None
 
 
 def positive_int(text: str) -> int:
@@ -331,10 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, lines, error = args.handler(args)
+        try:
+            # One write: an output that cannot be encoded leaves stdout empty.
+            sys.stdout.write("".join(line + "\n" for line in lines))
+        except UnicodeEncodeError as err:
+            raise TensorLogicError(f"{err}; --output records writes ASCII") from None
     except (TensorLogicError, OSError, UnicodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        code, error = 2, str(err)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

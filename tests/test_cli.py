@@ -14,7 +14,8 @@ import tensorlogic.cli as cli
 from tensorlogic.cli import main
 from tensorlogic.dsl import MAX_DEPTH
 from tensorlogic.model import truth_top
-from tensorlogic.tensor import DEFAULT_ELEMENT_CAP
+from tensorlogic.tensor import DEFAULT_ELEMENT_CAP, Tensor
+from tensorlogic.truth import PredicateMatrix
 from tests.conftest import BROWN_DOG_TEXT, LOVES_TEXT, MATHEMATICIAN_TEXT
 from tests.helpers import DEEP_SHAPES, ONE_ATOM_TEXT, patch_sweep_tensor_path
 
@@ -153,7 +154,8 @@ class TestTruthTableCommand:
     def test_self_check_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "connective_binary", lambda name, a, b: truth_top())
         assert main(["truth-table", "and", "--check"]) == 2
-        assert "self-check failed" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "self-check failed" in err
 
     def test_unknown_connective(self):
         result = run_cli("truth-table", "xor")
@@ -196,6 +198,18 @@ class TestShowCommand:
     def test_show_unknown_name(self, model_file):
         result = run_cli("show", "--model", model_file, "nothing")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("output", ["pretty", "records"])
+    def test_round_trip_mismatch_is_an_error(self, model_file, output, monkeypatch, capsys):
+        real = cli.convert_set_to_truth
+
+        def swapped(set_form):
+            return PredicateMatrix(Tensor(real(set_form).tensor.array[::-1]))
+
+        monkeypatch.setattr(cli, "convert_set_to_truth", swapped)
+        assert main(["show", "--model", model_file, "mathematician", "--output", output]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "round-trip" in err
 
 
 class TestSweepCommand:
@@ -393,8 +407,9 @@ class TestExitCodeContract:
         if args[0] == "eval":
             args = [*args, "--model", model_file]
         result = run_cli(*args, env=ASCII_ENV)
-        assert result.returncode == 2
+        assert result.returncode == 2 and result.stdout == ""
         assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
+        assert "--output records writes ASCII" in result.stderr
 
     @pytest.mark.parametrize("formula, code", [("mathematician(john)", 0), ("mathematician(tom)", 1)])
     def test_records_output_to_an_ascii_stdout_keeps_its_exit_code(self, model_file, formula, code):

@@ -225,6 +225,24 @@ MUTANTS = (
         "            )",
         ("tests/test_evaluator.py::TestEquivalenceSweep",),
     ),
+    Mutant(
+        "table-written-as-it-is-built",
+        "src/tensorlogic/cli.py",
+        'lines.append("")',
+        'sys.stdout.write("\\n".join(lines) + "\\n")\n'
+        '    lines = [""]',
+        (
+            "tests/test_cli.py::TestExitCodeContract"
+            "::test_pretty_output_to_an_ascii_stdout_is_an_error",
+        ),
+    ),
+    Mutant(
+        "failed-check-exits-2-without-raising",
+        "src/tensorlogic/cli.py",
+        'raise TensorLogicError(f"self-check failed at inputs {inputs}")',
+        "return 2, [], None",
+        ("tests/test_cli.py::TestTruthTableCommand::test_self_check_failure",),
+    ),
 )
 
 
