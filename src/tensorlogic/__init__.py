@@ -8,7 +8,7 @@ independent set-theoretic oracle that never touches a tensor.
 """
 
 from .errors import TensorLogicError
-from .model import Model, TruthVec, decode_set, encode_atom, encode_set, truth_bot, truth_top
+from .model import Model, TruthVec, decode_set, encode_atom, truth_bot, truth_top
 from .tensor import DEFAULT_ELEMENT_CAP, Tensor, contract, diag_build
 from .truth import (
     Connective,
@@ -74,7 +74,6 @@ __all__ = [
     "decode_set",
     "diag_build",
     "encode_atom",
-    "encode_set",
     "equivalence_sweep",
     "evaluate",
     "execute",

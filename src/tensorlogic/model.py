@@ -160,14 +160,6 @@ def encode_atom(m: Model, name: str) -> Tensor:
     return one_hot(m.atom_index(name), m.domain_size)
 
 
-def encode_set(m: Model, atom_names: Iterable[str]) -> Tensor:
-    """0/1 characteristic vector of a set of declared atoms."""
-    v = np.zeros(m.domain_size)
-    for name in atom_names:
-        v[m.atom_index(name)] = 1.0
-    return Tensor._wrap(v)
-
-
 def _set_bits(arr: np.ndarray) -> np.ndarray:
     """``arr`` snapped to exact 0/1 by the one snap in :mod:`tensorlogic.tensor`,
     or :class:`NonCharacteristicError` if it does not denote a set: the one

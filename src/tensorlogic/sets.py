@@ -6,9 +6,9 @@ to the characteristic vector of the filtered subset (the intersection with
 the predicate's extension).  Replacing a bound variable with the all-ones
 vector turns such a matrix back into the plain characteristic vector of its
 extension, which is what the quantifiers consume.  Compiled plans keep a set
-expression as a truth-style (2, n) matrix, combined by the ``and``/``or``
-connective tensors rather than :func:`intersect`/:func:`union`, and hand a
-quantifier its true row: the diagonal times the all-ones vector.
+expression as a truth-style (2, n) matrix, intersected and united by the
+``and``/``or`` connective tensors, and hand a quantifier its true row: the
+diagonal times the all-ones vector.
 
 ``forall`` and ``exists`` are decision procedures over characteristic
 vectors, not multilinear maps: scaling a zero vector changes nothing about
@@ -31,7 +31,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidPredicateError
-from .model import Model, TruthVec, _set_bits, decode_set, truth_bot, truth_top
+from .model import Model, TruthVec, _set_bits, truth_bot, truth_top
 from .tensor import FLOAT_TOL, Tensor, contract, diag_build, ones
 from .truth import PredicateMatrix, _truth_tensor
 
@@ -57,9 +57,6 @@ class SetVector:
     @property
     def domain_size(self) -> int:
         return self.tensor.shape[0]
-
-    def decode(self, m: Model) -> frozenset[str]:
-        return decode_set(m, self.tensor)
 
 
 @dataclass(frozen=True)
@@ -119,18 +116,6 @@ def _operands(op: str, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
     if len(x) != len(y):
         raise DimensionMismatchError(f"{op} requires equal lengths, got {len(x)} and {len(y)}")
     return x, y
-
-
-def intersect(a: SetVector, b: SetVector) -> SetVector:
-    """Set intersection as pointwise minimum."""
-    x, y = _operands("intersect", a.tensor.array, b.tensor.array)
-    return SetVector(Tensor._wrap(np.minimum(x, y)))
-
-
-def union(a: SetVector, b: SetVector) -> SetVector:
-    """Set union as pointwise maximum."""
-    x, y = _operands("union", a.tensor.array, b.tensor.array)
-    return SetVector(Tensor._wrap(np.maximum(x, y)))
 
 
 def _subset(x: np.ndarray, y: np.ndarray) -> bool:

@@ -6,8 +6,8 @@ dimension 1 (the "scalar carrier"), so every operation closes over tensors.
 
 Contraction joins exactly one index pair: the rightmost index of the left
 operand with the leftmost index of the right operand.  No other pairing is
-offered.  Storage is row-major and dense; constructions above ``cap`` elements
-(default ``DEFAULT_ELEMENT_CAP``) are rejected outright rather than spilling
+offered.  Storage is row-major and dense; constructions above
+``DEFAULT_ELEMENT_CAP`` elements are rejected outright rather than spilling
 to a sparse or chunked representation.
 """
 
@@ -51,10 +51,10 @@ class Tensor:
 
     __slots__ = ("_array",)
 
-    def __init__(self, values, *, cap: int = DEFAULT_ELEMENT_CAP):
+    def __init__(self, values):
         arr = np.asarray(values)
         # An array input is not copied until the cap has been checked.
-        ElementCapError.check("Tensor construction", arr.size, cap)
+        ElementCapError.check("Tensor construction", arr.size, DEFAULT_ELEMENT_CAP)
         arr = np.array(arr, dtype=np.float64)
         if arr.ndim == 0:
             raise RankError("rank-0 tensors are not representable; wrap scalars in shape (1,)")

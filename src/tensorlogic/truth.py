@@ -16,10 +16,9 @@ dense tensor at their flat positions, the one place that knows its layout,
 and :func:`relation_slice` builds the (2, n) tensor that binding every
 argument but the last leaves from n probes of the tuple set, without the
 dense tensor.  Plans load that bare tensor and :func:`predicate_tensor`'s,
-which :func:`build_relation_slice` and :func:`build_predicate` wrap as typed
-matrices.  One fill builds every truth tensor, dense or sliced: the false
-row is one minus the true row, so each column is a truth basis vector by
-construction.
+which :func:`build_predicate` wraps as a typed matrix.  One fill builds every
+truth tensor, dense or sliced: the false row is one minus the true row, so
+each column is a truth basis vector by construction.
 
 Connectives are constant tensors over the truth space: negation is the 2 x 2
 swap matrix, and each binary connective is a 2 x 2 x 2 tensor whose last index
@@ -42,6 +41,7 @@ from .errors import (
     ElementCapError,
     InvalidPredicateError,
     NonOneHotError,
+    RankError,
     _count,
 )
 from .model import Model, TruthVec
@@ -204,14 +204,19 @@ def build_relation(
     A tuple (t1, ..., tn) sets the "true" slot at domain indices
     (tn, ..., t1): reversed, so that contraction consumes arguments
     subject-first.  An arity-1 declaration yields a predicate matrix, the
-    shape an arity-2 relation reaches after one partial application.
+    shape an arity-2 relation reaches after one partial application.  A
+    tensor with more axes than numpy allows (32 in numpy 1, 64 in numpy 2)
+    is a :class:`RankError`, whatever its element count.
     """
     decl = m.relation_decl(name)
     n, k = m.domain_size, decl.arity
     ElementCapError.check(name, 2 * n**k, cap)
     # Tuple (t1, ..., tk) is true at flat position t1 + t2*n + ... + tk*n**(k-1).
     tuples = np.fromiter(chain.from_iterable(decl.tuples), np.intp).reshape(-1, k)
-    tensor = _truth_tensor((n,) * k, tuples @ n ** np.arange(k))
+    try:
+        tensor = _truth_tensor((n,) * k, tuples @ n ** np.arange(k))
+    except ValueError:
+        raise RankError(f"{name} needs a tensor of {k + 1} axes, more than numpy allows") from None
     if k == 1:
         return PredicateMatrix(tensor, validate=False)
     return RelationTensor(k, tensor, validate=False)
@@ -240,12 +245,6 @@ def relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Tensor:
     prefix, n = tuple(map(m.atom_index, bound)), m.domain_size
     true_columns = [j for j in range(n) if prefix + (j,) in decl.tuples]
     return _truth_tensor((n,), true_columns)
-
-
-def build_relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> PredicateMatrix:
-    """Predicate matrix of a relation with every argument but the last bound:
-    :func:`relation_slice`."""
-    return PredicateMatrix(relation_slice(m, name, bound), validate=False)
 
 
 def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> bool:

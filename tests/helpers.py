@@ -1,12 +1,38 @@
-"""Shared test helpers: enumerations for the oracle-equivalence suites,
-deeply nested formula texts, and a faulty tensor path for sweeps."""
+"""Shared test helpers: set referees, enumerations for the
+oracle-equivalence suites, deeply nested formula texts, and a faulty tensor
+path for sweeps."""
 
 import itertools
+from typing import Iterable
+
+import numpy as np
 
 import tensorlogic.evaluator as evaluator_module
 from tensorlogic.dsl import And, Exists, ForAll, Implies, Intersect, Not, Or, Union
 from tensorlogic.errors import PlanTooLargeError
 from tensorlogic.model import Model, truth_bot, truth_top
+from tensorlogic.sets import SetVector, _operands
+from tensorlogic.tensor import Tensor
+
+
+def encode_set(m: Model, atom_names: Iterable[str]) -> Tensor:
+    """0/1 characteristic vector of a set of declared atoms."""
+    v = np.zeros(m.domain_size)
+    for name in atom_names:
+        v[m.atom_index(name)] = 1.0
+    return Tensor._wrap(v)
+
+
+def intersect(a: SetVector, b: SetVector) -> SetVector:
+    """Set intersection as pointwise minimum."""
+    x, y = _operands("intersect", a.tensor.array, b.tensor.array)
+    return SetVector(Tensor._wrap(np.minimum(x, y)))
+
+
+def union(a: SetVector, b: SetVector) -> SetVector:
+    """Set union as pointwise maximum."""
+    x, y = _operands("union", a.tensor.array, b.tensor.array)
+    return SetVector(Tensor._wrap(np.maximum(x, y)))
 
 
 def formulas_up_to_depth(depth, leaves):

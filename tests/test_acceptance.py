@@ -33,7 +33,7 @@ from tensorlogic.evaluator import (
     oracle_eval,
 )
 from tensorlogic.generate import random_formula, random_model
-from tensorlogic.model import Model, TruthVec, encode_atom, encode_set, truth_bot, truth_top
+from tensorlogic.model import Model, TruthVec, decode_set, encode_atom, truth_bot, truth_top
 from tensorlogic.sets import (
     SetVector,
     apply_set_predicate,
@@ -42,7 +42,6 @@ from tensorlogic.sets import (
     convert_truth_to_set,
     exists,
     forall,
-    intersect,
     nonlinearity_witness_exists,
     nonlinearity_witness_forall,
     predicate_vector,
@@ -60,7 +59,9 @@ from tensorlogic.truth import (
 )
 from tests.conftest import BROWN_DOG_TEXT, LOVES_TEXT, MATHEMATICIAN_TEXT
 from tests.helpers import (
+    encode_set,
     formulas_up_to_depth,
+    intersect,
     leaf_valuation_models,
     quantified_formulas,
     set_exprs_up_to_depth,
@@ -185,7 +186,7 @@ def test_criterion_5_set_filtering_example():
     ok = (
         brown.tensor == Tensor([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
         and brown_dogs.tensor == Tensor([0, 1, 0])
-        and brown_dogs.decode(m) == frozenset({"b"})
+        and decode_set(m, brown_dogs.tensor) == frozenset({"b"})
         and exists(witness) == truth_top()
     )
     _report(5, "diagonal predicate filters the dog set to {b}; a brown dog exists", ok)

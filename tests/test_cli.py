@@ -200,6 +200,15 @@ class TestShowCommand:
         assert result.returncode == 2
 
     @pytest.mark.parametrize("output", ["pretty", "records"])
+    def test_a_relation_with_more_axes_than_numpy_allows(self, tmp_path, output):
+        path = tmp_path / "wide.model"
+        path.write_text("domain a\nrel r/65:\n")
+        result = run_cli("show", "--model", str(path), "r", "--output", output)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: r needs a tensor of 66 axes, more than numpy allows\n"
+
+    @pytest.mark.parametrize("output", ["pretty", "records"])
     def test_round_trip_mismatch_is_an_error(self, model_file, output, monkeypatch, capsys):
         real = cli.convert_set_to_truth
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 import tensorlogic.evaluator as evaluator_module
@@ -42,7 +43,7 @@ from tensorlogic.evaluator import (
 from tensorlogic.generate import random_formula, random_model, random_truth_formula
 from tensorlogic.model import Model, truth_bot, truth_top
 from tensorlogic.sets import SetVector
-from tensorlogic.tensor import Tensor
+from tensorlogic.tensor import DEFAULT_ELEMENT_CAP, Tensor
 from tensorlogic.truth import build_relation, connective_not
 from tests.helpers import (
     SWEEP_ERROR_MESSAGE,
@@ -120,10 +121,17 @@ class TestCompileAndExecute:
         )
 
     @pytest.mark.parametrize(
-        "build, what, error",
+        "build, what, size, cap, error",
         [
-            (lambda m: Tensor([0.0] * 2000, cap=100), "Tensor construction", ElementCapError),
-            (lambda m: build_relation(m, "r", cap=100), "r", ElementCapError),
+            (
+                # A zero-copy view: the cap is checked before any copy.
+                lambda m: Tensor(np.broadcast_to(0.0, (DEFAULT_ELEMENT_CAP + 1,))),
+                "Tensor construction",
+                DEFAULT_ELEMENT_CAP + 1,
+                DEFAULT_ELEMENT_CAP,
+                ElementCapError,
+            ),
+            (lambda m: build_relation(m, "r", cap=100), "r", 2000, 100, ElementCapError),
             (
                 # A (2, 1000) slice: plans load no dense relation tensor.
                 lambda m: compile_formula(
@@ -132,17 +140,21 @@ class TestCompileAndExecute:
                     cap=100,
                 ),
                 "rel:r(x0,x1,_)",
+                2000,
+                100,
                 PlanTooLargeError,
             ),
         ],
         ids=["Tensor", "build_relation", "compile_formula"],
     )
-    def test_every_cap_check_has_one_message(self, build, what, error):
+    def test_every_cap_check_has_one_message(self, build, what, size, cap, error):
         m = Model.from_names([f"x{i}" for i in range(10)], relations={"r": (3, [])})
         with pytest.raises(error) as info:
             build(m)
         assert isinstance(info.value, ElementCapError)
-        assert str(info.value) == f"{what} needs a tensor of 2000 elements, above the cap of 100"
+        assert str(info.value) == (
+            f"{what} needs a tensor of {size} elements, above the cap of {cap}"
+        )
 
     def test_quantifier_steps_build_no_tensor_and_no_set_vector(self, greek_model, monkeypatch):
         m = greek_model

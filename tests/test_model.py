@@ -22,13 +22,13 @@ from tensorlogic.model import (
     TruthVec,
     decode_set,
     encode_atom,
-    encode_set,
     truth_bot,
     truth_top,
 )
 from tensorlogic.sets import SetVector
 from tensorlogic.tensor import Tensor
 from tensorlogic.truth import apply_predicate, build_predicate
+from tests.helpers import encode_set
 
 
 class TestModelValidation:

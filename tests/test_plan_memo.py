@@ -39,8 +39,8 @@ from tensorlogic.tensor import Tensor, contract
 from tensorlogic.truth import (
     PredicateMatrix,
     build_predicate,
-    build_relation_slice,
     connective_binary,
+    relation_slice,
 )
 
 
@@ -257,13 +257,14 @@ def public_matrix(m: Model, note: str) -> PredicateMatrix | None:
         return build_predicate(m, name)
     if kind == "rel":
         rel, _, args = name.partition("(")
-        return build_relation_slice(m, rel, tuple(args.rstrip(")").split(",")[:-1]))
+        return PredicateMatrix(relation_slice(m, rel, tuple(args.rstrip(")").split(",")[:-1])))
     return None
 
 
 def test_plan_loads_equal_the_public_builders_bitwise():
-    # Plans load the raw tensors that ``build_predicate`` and
-    # ``build_relation_slice`` wrap; the two entry points must not drift.
+    # Plans load the raw tensors that ``build_predicate`` wraps and
+    # ``relation_slice`` returns; the entry points must not drift, and every
+    # loaded slice must pass ``PredicateMatrix``'s truth-column check.
     rng = random.Random(24)
     instances = []
     for _ in range(400):

@@ -19,7 +19,7 @@ from tensorlogic.cli import main
 from tensorlogic.dsl import Exists, RelAtom, parse_model, print_model
 from tensorlogic.evaluator import evaluate, oracle_eval
 from tensorlogic.model import Model
-from tensorlogic.truth import build_relation, build_relation_slice
+from tensorlogic.truth import build_relation, relation_slice
 
 
 def small_models(seed: int, count: int):
@@ -64,7 +64,7 @@ def tensor_bytes_digest() -> str:
         for rel, decl in sorted(m.relations.items()):
             add(rel, build_relation(m, rel).tensor)
             for bound in itertools.product(m.atom_names, repeat=decl.arity - 1):
-                add(f"{rel}{bound}", build_relation_slice(m, rel, bound).tensor)
+                add(f"{rel}{bound}", relation_slice(m, rel, bound))
     rng = random.Random(2113)
     for m, relations in scale_models(2114):
         for i in range(200):
@@ -74,7 +74,7 @@ def tensor_bytes_digest() -> str:
                 bound = rng.choice(stored)[:-1]
             else:
                 bound = tuple(rng.choice(m.atom_names) for _ in range(arity - 1))
-            add(f"{rel}{bound}", build_relation_slice(m, rel, bound).tensor)
+            add(f"{rel}{bound}", relation_slice(m, rel, bound))
     return digest.hexdigest()
 
 

@@ -40,9 +40,7 @@ from tensorlogic.sets import (
     build_set_predicate,
     exists,
     forall,
-    intersect,
     predicate_vector,
-    union,
 )
 from tensorlogic.tensor import Tensor, contract
 from tensorlogic.truth import (
@@ -51,11 +49,12 @@ from tensorlogic.truth import (
     apply_relation,
     build_predicate,
     build_relation,
-    build_relation_slice,
     connective_binary,
     connective_not,
     partial_apply,
+    relation_slice,
 )
+from tests.helpers import intersect, union
 
 
 def models_with_arities(seed: int, count: int, max_domain: int = 4):
@@ -146,7 +145,7 @@ def test_every_slice_and_application_matches_the_dense_path():
                 expected = dense_slice(m, rel, bound).tensor.array
                 assert payload.shape == expected.shape == (2, m.domain_size)
                 assert payload.array.tobytes() == expected.tobytes()
-                assert build_relation_slice(m, rel, bound).tensor == payload
+                assert relation_slice(m, rel, bound) == payload
             for args in itertools.product(names, repeat=decl.arity):
                 f = RelAtom(rel, args)
                 result = evaluate(f, m)
@@ -229,7 +228,7 @@ def test_a_set_of_a_slice_and_a_predicate_holds_no_register_above_2n():
 def test_a_slice_binds_every_argument_but_the_last():
     m = Model.from_names(["a", "b"], relations={"r": (3, [("a", "b", "a")])})
     with pytest.raises(ArityError):
-        build_relation_slice(m, "r", ("a",))
+        relation_slice(m, "r", ("a",))
     with pytest.raises(ArityError):
         compile_formula(Exists(PartialRel("r", ("a", "b", "a"))), m)
     assert not m._tensors

@@ -11,7 +11,7 @@ from tensorlogic.errors import (
     InvalidPredicateError,
     NonCharacteristicError,
 )
-from tensorlogic.model import Model, encode_atom, encode_set, truth_bot, truth_top
+from tensorlogic.model import Model, decode_set, encode_atom, truth_bot, truth_top
 from tensorlogic.sets import (
     SetPredicateMatrix,
     SetVector,
@@ -21,14 +21,13 @@ from tensorlogic.sets import (
     convert_truth_to_set,
     exists,
     forall,
-    intersect,
     nonlinearity_witness_exists,
     nonlinearity_witness_forall,
     predicate_vector,
-    union,
 )
 from tensorlogic.tensor import Tensor, ones
 from tensorlogic.truth import apply_predicate, build_predicate, build_relation, partial_apply
+from tests.helpers import encode_set, intersect, union
 
 
 def random_predicate_models(seed, count, max_domain):
@@ -76,7 +75,7 @@ class TestApplySetPredicate:
         dogs = SetVector(encode_set(m, {"a", "b"}))
         brown_dogs = apply_set_predicate(brown, dogs)
         assert brown_dogs.tensor == Tensor([0, 1, 0])
-        assert brown_dogs.decode(m) == frozenset({"b"})
+        assert decode_set(m, brown_dogs.tensor) == frozenset({"b"})
 
     def test_full_domain_argument_extracts_diagonal(self, brown_dog_model):
         p = build_set_predicate(brown_dog_model, "brown")
@@ -273,7 +272,7 @@ class TestConversions:
         john_loves = partial_apply(loves, [encode_atom(m, "j")])
         loved_by_john = predicate_vector(convert_truth_to_set(john_loves))
         assert exists(loved_by_john) == truth_top()
-        assert loved_by_john.decode(m) == frozenset({"j"})
+        assert decode_set(m, loved_by_john.tensor) == frozenset({"j"})
 
 
 class TestNonlinearityWitnesses:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tensorlogic.tensor as tensor_module
 from tensorlogic.errors import (
     DimensionMismatchError,
     ElementCapError,
@@ -53,22 +54,29 @@ class TestTensorInvariants:
         with pytest.raises(DimensionMismatchError):
             Tensor(np.zeros((2, 0)))
 
-    def test_element_cap(self):
-        Tensor(np.zeros(10), cap=10)
+    def test_element_cap(self, monkeypatch):
         with pytest.raises(ElementCapError):
-            Tensor(np.zeros(11), cap=10)
+            Tensor(np.broadcast_to(0.0, (DEFAULT_ELEMENT_CAP + 1,)))
+        # ``Tensor`` reads the module's cap on every construction, so a small
+        # cap shows the boundary without a cap-sized array.
+        monkeypatch.setattr(tensor_module, "DEFAULT_ELEMENT_CAP", 10)
+        Tensor(np.zeros(10))
+        with pytest.raises(ElementCapError):
+            Tensor(np.zeros(11))
 
     def test_cap_is_checked_before_the_copy(self):
-        values = np.ones(200_000)
+        # A zero-copy view of one element more than the cap.
+        values = np.broadcast_to(0.0, (DEFAULT_ELEMENT_CAP + 1,))
         tracemalloc.start()
         try:
             with pytest.raises(ElementCapError) as info:
-                Tensor(values, cap=1000)
+                Tensor(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert str(info.value) == (
-            "Tensor construction needs a tensor of 200000 elements, above the cap of 1000"
+            f"Tensor construction needs a tensor of {DEFAULT_ELEMENT_CAP + 1} elements, "
+            f"above the cap of {DEFAULT_ELEMENT_CAP}"
         )
         assert peak < 100_000
 

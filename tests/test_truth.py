@@ -15,6 +15,7 @@ from tensorlogic.errors import (
     DimensionMismatchError,
     InvalidPredicateError,
     NonOneHotError,
+    RankError,
 )
 from tensorlogic.model import Model, TruthVec, encode_atom, truth_bot, truth_top
 from tensorlogic.tensor import Tensor
@@ -108,6 +109,20 @@ class TestBuildRelation:
                 else:
                     result = apply_relation(r, args)
                 assert result.as_bool() is (tup in tuples)
+
+    def test_more_axes_than_numpy_allows_is_a_rank_error(self):
+        # Over one atom the tensor has 2 elements, so the cap check passes;
+        # numpy refuses above 32 axes (numpy 1) or 64 (numpy 2).
+        m = Model.from_names(["a"], relations={"r": (65, [])})
+        with pytest.raises(RankError) as info:
+            build_relation(m, "r")
+        assert str(info.value) == "r needs a tensor of 66 axes, more than numpy allows"
+
+    def test_an_arity_numpy_1_allows_still_builds(self):
+        m = Model.from_names(["a"], relations={"r": (31, [("a",) * 31])})
+        r = build_relation(m, "r")
+        assert r.tensor.shape == (2,) + (1,) * 31
+        assert r.tensor.array.ravel().tolist() == [1.0, 0.0]
 
     def test_validation_rejects_unnormalized(self):
         with pytest.raises(InvalidPredicateError):

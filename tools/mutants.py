@@ -243,6 +243,18 @@ MUTANTS = (
         "return 2, [], None",
         ("tests/test_cli.py::TestTruthTableCommand::test_self_check_failure",),
     ),
+    Mutant(
+        "numpy-axis-limit-escapes-build-relation",
+        "src/tensorlogic/truth.py",
+        "except ValueError:\n        raise RankError",
+        "except RankError:\n        raise RankError",
+        (
+            "tests/test_truth.py::TestBuildRelation"
+            "::test_more_axes_than_numpy_allows_is_a_rank_error",
+            "tests/test_cli.py::TestShowCommand"
+            "::test_a_relation_with_more_axes_than_numpy_allows",
+        ),
+    ),
 )
 
 
