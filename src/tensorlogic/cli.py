@@ -36,7 +36,6 @@ import numpy as np
 from .errors import ElementCapError, TensorLogicError
 from .evaluator import SweepConfig, compile_formula, equivalence_sweep, execute, oracle_eval
 from .dsl import MAX_DEPTH, And, Atom, Implies, Not, Or, parse_formula, parse_model
-from .generate import MAX_ARITY, check_relation_size
 from .model import Model, truth_bot, truth_top
 from .sets import build_set_predicate, convert_set_to_truth, convert_truth_to_set
 from .tensor import DEFAULT_ELEMENT_CAP
@@ -243,7 +242,11 @@ def sweep_domain(text: str) -> int:
     The largest relation a sweep generates has arity ``MAX_ARITY`` over
     ``--max-domain`` atoms; refusing the flag up front makes it a usage
     error, not a sweep that stops at the first model too large to draw.
+    Only ``sweep`` loads :mod:`tensorlogic.generate`, so the other commands
+    start without it.
     """
+    from .generate import MAX_ARITY, check_relation_size
+
     value = positive_int(text)
     try:
         check_relation_size(MAX_ARITY, value)

@@ -38,8 +38,9 @@ elements of its dense tensor.  The dimension preconditions of every step are
 checked at compile time from the model's domain size.  :func:`execute`
 therefore runs the steps directly on the payloads' read-only ndarrays, and
 reads its verdict straight off the two floats of the result register; a
-quantifier step runs the set-vector check and the decision kernel of
-:mod:`tensorlogic.sets` straight on its operand registers.
+quantifier step runs the set-vector check on its operand registers and the
+decision kernel of :mod:`tensorlogic.sets` straight on the bool bits that
+the check returns.
 
 :func:`oracle_eval` is the independent referee: it evaluates the same bound
 AST directly over the model's sets with classical connective semantics,
@@ -269,17 +270,18 @@ def execute(plan: ContractionPlan) -> TruthVec:
     and of ``contract`` (the kernel of :func:`tensorlogic.tensor.contract`),
     and a quantifier's read-only verdict.  Shapes were checked at compile
     time; a quantifier still checks that its operands are characteristic
-    vectors.  The result register's shape is ``(2,)``, so the verdict is
-    read straight off its two floats: a crisp pair is the shared
-    ``truth_top()`` or ``truth_bot()`` value, any other pair a new
-    :class:`TruthVec` that must be normalized.
+    vectors, and decides on the bool bits of that check.  The result
+    register's shape is ``(2,)``, so the verdict is read straight off its
+    two floats: a crisp pair is the shared ``truth_top()`` or
+    ``truth_bot()`` value, any other pair a new :class:`TruthVec` that must
+    be normalized.
     """
     shapes = plan.register_shapes
     registers: list[np.ndarray | None] = [None] * len(shapes)
     for op, dest, srcs, payload, _ in plan.steps:
         match op:
             case "load":
-                value = payload.array
+                value = payload._array
             case "contract":
                 a, b = srcs
                 value = _contract_arrays(registers[a], registers[b], shapes[dest])

@@ -14,7 +14,9 @@ diagonal times the all-ones vector.
 vectors, not multilinear maps: scaling a zero vector changes nothing about
 the decision, so no tensor can represent them.  Each is one kernel on 0/1
 arrays, ``_subset`` or ``_nonempty``, run by :func:`forall`/:func:`exists`
-and by a compiled plan's quantifier steps alike.  :func:`nonlinearity_witness_forall`
+on a :class:`SetVector`'s float64 0/1 array and by a compiled plan's
+quantifier steps on the bool bits that the set-vector check returns: the
+same decision on either dtype.  :func:`nonlinearity_witness_forall`
 and :func:`nonlinearity_witness_exists` reproduce that argument numerically.
 
 The two predicate formulations carry the same information.  Selecting the
@@ -42,9 +44,10 @@ class SetVector:
 
     Entries within ``FLOAT_TOL`` of 0 or 1 are snapped to exact values at
     construction by the one set-vector check, ``model._set_bits``, so
-    downstream set comparisons are exact integer comparisons.  Anything
-    else, NaN included, is rejected: quantifiers have no defined semantics
-    off the 0/1 grid.
+    downstream set comparisons are exact integer comparisons.  Its bool
+    bits are stored cast to float64, the dtype of every :class:`Tensor`.
+    Anything else, NaN included, is rejected: quantifiers have no defined
+    semantics off the 0/1 grid.
     """
 
     tensor: Tensor
@@ -52,7 +55,8 @@ class SetVector:
     def __post_init__(self):
         if self.tensor.rank != 1:
             raise DimensionMismatchError(f"a set vector has rank 1, got {self.tensor.shape}")
-        object.__setattr__(self, "tensor", Tensor._wrap(_set_bits(self.tensor.array)))
+        bits = _set_bits(self.tensor.array).astype(np.float64)
+        object.__setattr__(self, "tensor", Tensor._wrap(bits))
 
     @property
     def domain_size(self) -> int:
@@ -119,8 +123,9 @@ def _operands(op: str, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _subset(x: np.ndarray, y: np.ndarray) -> bool:
-    """The subset decision on snapped 0/1 arrays: no entry is 1 in ``x`` and
-    0 in ``y``.  Exact, since both arrays hold only exact 0s and 1s."""
+    """The subset decision on snapped 0/1 arrays, float64 or bool: no entry
+    is 1 in ``x`` and 0 in ``y``.  Exact, since both arrays hold only exact
+    0s and 1s."""
     return not (x > y).any()
 
 

@@ -32,11 +32,18 @@ FLOAT_TOL = 1e-12
 
 
 def _snap01(arr: np.ndarray) -> np.ndarray | None:
-    """``arr`` with each entry within ``FLOAT_TOL`` of 0 or 1 snapped to it
-    exactly, or ``None`` if any entry is neither (NaN included): the one
-    tolerant check of the 0/1 invariant on arrays."""
-    bits = (arr > 0.5).astype(np.float64)
-    if not (np.abs(arr - bits) <= FLOAT_TOL).all():
+    """The bool bits of ``arr``, each entry within ``FLOAT_TOL`` of 0 or 1
+    read as that bit, or ``None`` if any entry is neither: the one tolerant
+    check of the 0/1 invariant on arrays.
+
+    The check is one reduction, the largest distance of an entry from its
+    bit.  NaN propagates through ``maximum`` and fails the comparison, and
+    an infinite entry is an infinite distance, so both are refused.
+    ``initial=0.0`` gives an empty array a largest distance of 0, so it is
+    the empty set.  A caller that needs floats casts the bits itself.
+    """
+    bits = arr > 0.5
+    if not np.maximum.reduce(np.abs(arr - bits), axis=None, initial=0.0) <= FLOAT_TOL:
         return None
     return bits
 
@@ -136,7 +143,8 @@ def ones(n: int) -> Tensor:
 def one_hot(index: int, size: int) -> Tensor:
     if not 0 <= index < size:
         raise DimensionMismatchError(f"one-hot index {index} out of range for size {size}")
-    ElementCapError.check("Tensor construction", size, DEFAULT_ELEMENT_CAP)
+    if size > DEFAULT_ELEMENT_CAP:
+        ElementCapError.check("Tensor construction", size, DEFAULT_ELEMENT_CAP)
     v = np.zeros(size)
     v[index] = 1.0
     return Tensor._wrap(v)
@@ -147,16 +155,18 @@ def _contract_arrays(left: np.ndarray, right: np.ndarray, shape: tuple[int, ...]
     leftmost, into the result's ``shape``, which the caller already knows.
 
     When both operands have rank at most 2, and not both rank 1, this is
-    ``np.dot(left, right)`` as it stands.  Every other pair is one ``np.dot``
-    of the ``(-1, k)`` and ``(k, -1)`` reshapes, reshaped to ``shape``.  The
-    plain branch stops at rank 2 because only there is ``np.dot`` bitwise
+    ``left.dot(right)`` as it stands.  Every other pair is one ``.dot`` of
+    the ``(-1, k)`` and ``(k, -1)`` reshapes, reshaped to ``shape``.  The
+    plain branch stops at rank 2 because only there is the product bitwise
     equal to ``np.tensordot``: on rank 3 and 4 operands it sums in another
-    order and differs in the last bits.
+    order and differs in the last bits.  The array method runs the same C
+    routine as ``np.dot`` without its ``__array_function__`` dispatch, a
+    fixed cost that is a large share of a product of plan size.
     """
     if left.ndim + right.ndim > 2 and left.ndim <= 2 and right.ndim <= 2:
-        return np.dot(left, right)
+        return left.dot(right)
     k = right.shape[0]
-    return np.dot(left.reshape(-1, k), right.reshape(k, -1)).reshape(shape)
+    return left.reshape(-1, k).dot(right.reshape(k, -1)).reshape(shape)
 
 
 def contract(left: Tensor, right: Tensor) -> Tensor:

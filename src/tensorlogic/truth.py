@@ -257,7 +257,7 @@ def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> bool:
     values = arg.array
     if mode == "crisp":
         bits = _snap01(values)
-        if bits is None or bits.sum() != 1.0:
+        if bits is None or bits.sum() != 1:
             raise NonOneHotError(f"crisp application requires a one-hot argument, got {values.tolist()}")
         return False
     convex = bool(np.all(values >= -FLOAT_TOL) and abs(values.sum() - 1.0) <= FLOAT_TOL)

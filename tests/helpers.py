@@ -10,6 +10,7 @@ import numpy as np
 import tensorlogic.evaluator as evaluator_module
 from tensorlogic.dsl import And, Exists, ForAll, Implies, Intersect, Not, Or, Union
 from tensorlogic.errors import PlanTooLargeError
+from tensorlogic.evaluator import ContractionPlan, Instr
 from tensorlogic.model import Model, truth_bot, truth_top
 from tensorlogic.sets import SetVector, _operands
 from tensorlogic.tensor import Tensor
@@ -33,6 +34,18 @@ def union(a: SetVector, b: SetVector) -> SetVector:
     """Set union as pointwise maximum."""
     x, y = _operands("union", a.tensor.array, b.tensor.array)
     return SetVector(Tensor._wrap(np.maximum(x, y)))
+
+
+def quantifier_plan(op, srcs, x: Tensor, y: Tensor) -> ContractionPlan:
+    """A hand-built plan loading rows ``x`` and ``y`` into r0 and r1, then
+    one ``op`` step over ``srcs``: no compiled plan hands a quantifier rows
+    off the 0/1 grid or of unequal lengths."""
+    steps = (
+        Instr("load", 0, payload=x, note="x"),
+        Instr("load", 1, payload=y, note="y"),
+        Instr(op, 2, srcs=srcs),
+    )
+    return ContractionPlan(steps, 2, (x.shape, y.shape, (2,)))
 
 
 def formulas_up_to_depth(depth, leaves):

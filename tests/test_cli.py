@@ -491,3 +491,21 @@ class TestExitCodeContract:
             assert "(line 1, column " in err.getvalue()
         else:
             assert (code, err.getvalue()) == (0 if truth else 1, "")
+
+
+def test_only_sweep_loads_the_generator():
+    """``eval``, ``show`` and ``truth-table`` start without
+    :mod:`tensorlogic.generate`; parsing a ``sweep --max-domain`` loads it."""
+    probe = (
+        "import sys, tensorlogic.cli as cli\n"
+        "parser = cli.build_parser()\n"
+        "parser.parse_args(['eval', '--model', 'm', '--formula', 'p(a)'])\n"
+        "parser.parse_args(['truth-table', 'and'])\n"
+        "parser.parse_args(['show', '--model', 'm', 'p'])\n"
+        "parser.parse_args(['sweep'])\n"
+        "print('tensorlogic.generate' in sys.modules)\n"
+        "parser.parse_args(['sweep', '--max-domain', '4'])\n"
+        "print('tensorlogic.generate' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\nTrue\n", "")

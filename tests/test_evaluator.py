@@ -30,8 +30,6 @@ from tensorlogic.errors import (
     TensorLogicError,
 )
 from tensorlogic.evaluator import (
-    ContractionPlan,
-    Instr,
     SweepConfig,
     compile_formula,
     equivalence_sweep,
@@ -51,6 +49,7 @@ from tests.helpers import (
     leaf_valuation_models,
     patch_sweep_tensor_path,
     quantified_formulas,
+    quantifier_plan,
     set_exprs_up_to_depth,
     signature_models,
 )
@@ -175,20 +174,10 @@ class TestCompileAndExecute:
         assert built == []
         assert results == [truth_top(), truth_bot(), truth_top(), truth_top()]
 
-    @staticmethod
-    def quantifier_plan(op, srcs, x, y):
-        """A hand-built plan: no compiled plan hands a quantifier such rows."""
-        steps = (
-            Instr("load", 0, payload=x, note="x"),
-            Instr("load", 1, payload=y, note="y"),
-            Instr(op, 2, srcs=srcs),
-        )
-        return ContractionPlan(steps, 2, (x.shape, y.shape, (2,)))
-
     @pytest.mark.parametrize("op, srcs", [("forall", (0, 1)), ("exists", (0,))])
     def test_a_quantifier_operand_off_the_grid_is_refused(self, op, srcs):
         off_grid = Tensor([0.5, 1.0])
-        plan = self.quantifier_plan(op, srcs, off_grid, Tensor([1.0, 1.0]))
+        plan = quantifier_plan(op, srcs, off_grid, Tensor([1.0, 1.0]))
         with pytest.raises(NonCharacteristicError) as expected:
             SetVector(off_grid)
         with pytest.raises(NonCharacteristicError) as info:
@@ -198,7 +187,7 @@ class TestCompileAndExecute:
 
     @pytest.mark.parametrize("srcs, lengths", [((0, 1), "1 and 2"), ((1, 0), "2 and 1")])
     def test_a_forall_over_unequal_lengths_is_refused(self, srcs, lengths):
-        plan = self.quantifier_plan("forall", srcs, Tensor([1.0]), Tensor([0.0, 1.0]))
+        plan = quantifier_plan("forall", srcs, Tensor([1.0]), Tensor([0.0, 1.0]))
         with pytest.raises(DimensionMismatchError) as info:
             execute(plan)
         assert str(info.value) == f"forall requires equal lengths, got {lengths}"

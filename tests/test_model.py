@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from tensorlogic.errors import (
@@ -17,6 +18,7 @@ from tensorlogic.errors import (
     UnknownPredicateError,
     UnknownRelationError,
 )
+from tensorlogic.evaluator import execute
 from tensorlogic.model import (
     Model,
     TruthVec,
@@ -26,9 +28,9 @@ from tensorlogic.model import (
     truth_top,
 )
 from tensorlogic.sets import SetVector
-from tensorlogic.tensor import Tensor
+from tensorlogic.tensor import FLOAT_TOL, Tensor, _snap01
 from tensorlogic.truth import apply_predicate, build_predicate
-from tests.helpers import encode_set
+from tests.helpers import encode_set, quantifier_plan
 
 
 class TestModelValidation:
@@ -329,3 +331,122 @@ def test_zero_one_checks_agree_at_the_tolerance_edge(row, bits, one_hot):
     else:
         with pytest.raises(NonOneHotError):
             apply_predicate(build_predicate(m, "p"), v)
+
+
+def reference_bits(values) -> list[bool] | None:
+    """The 0/1 check entry by entry in plain Python: each entry's bit, or
+    ``None`` if some entry is within ``FLOAT_TOL`` of neither 0 nor 1."""
+    bits = []
+    for x in values:
+        if abs(x - 1.0) <= FLOAT_TOL:
+            bits.append(True)
+        elif abs(x) <= FLOAT_TOL:
+            bits.append(False)
+        else:
+            return None
+    return bits
+
+
+TOL = FLOAT_TOL
+# Entries at and around the tolerance edge.  ``1 + TOL`` is stored a little
+# more than ``TOL`` above 1, so the reference refuses it, while ``1 - TOL``
+# lands within it; the reference decides each such edge, not this list.
+SPECIAL_ENTRIES = {
+    "zero": 0.0,
+    "negative-zero": -0.0,
+    "one": 1.0,
+    "zero-plus-tol": TOL,
+    "zero-minus-tol": -TOL,
+    "one-plus-half-tol": 1 + TOL / 2,
+    "one-minus-half-tol": 1 - TOL / 2,
+    "one-plus-tol": 1 + TOL,
+    "one-minus-tol": 1 - TOL,
+    "zero-plus-two-tol": 2 * TOL,
+    "one-plus-two-tol": 1 + 2 * TOL,
+    "one-minus-two-tol": 1 - 2 * TOL,
+    "below-the-member-threshold": 1e-13,
+    "half": 0.5,
+    "nan": math.nan,
+    "inf": math.inf,
+    "negative-inf": -math.inf,
+    "smallest-subnormal": 5e-324,
+    "negative-subnormal": -1e-310,
+}
+LONG = 3000
+# Each vector pairs one special entry with exact bits: alone (n = 1), in
+# the middle of three, and last of 3,000.  Two more hold noise within
+# ``TOL / 2`` on every entry, one of them with a single 0.5 at its end.
+_rng = np.random.default_rng(27)
+_long_bits = (np.arange(LONG) % 3 == 0).astype(np.float64)
+_noise = _long_bits + _rng.uniform(-TOL / 2, TOL / 2, size=LONG)
+ZERO_ONE_BATTERY = {
+    **{f"{name}-alone": [x] for name, x in SPECIAL_ENTRIES.items()},
+    **{f"{name}-of-three": [1.0, x, 0.0] for name, x in SPECIAL_ENTRIES.items()},
+    **{f"{name}-last-of-{LONG}": [*_long_bits[:-1], x] for name, x in SPECIAL_ENTRIES.items()},
+    f"noise-of-{LONG}": list(_noise),
+    f"noise-of-{LONG}-then-half": [*_noise[:-1], 0.5],
+}
+# One model per length: atom i is in ``p`` when i is odd.
+_MODELS = {
+    n: Model.from_names(
+        [f"a{i}" for i in range(n)], predicates={"p": [f"a{i}" for i in range(1, n, 2)]}
+    )
+    for n in (1, 3, LONG)
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("values", ZERO_ONE_BATTERY.values(), ids=ZERO_ONE_BATTERY.keys())
+def test_zero_one_check_matches_the_reference_through_every_caller(values):
+    """The one 0/1 check, and every caller of it, accept and refuse exactly
+    what the plain-Python reference does, and read the same bits."""
+    expected = reference_bits(values)
+    arr = np.array(values)
+    v = Tensor(values)
+    m = _MODELS[len(values)]
+    ones_v, zeros_v = Tensor(np.ones(len(values))), Tensor(np.zeros(len(values)))
+    exists_plan = quantifier_plan("exists", (0,), v, v)
+    subset_plan = quantifier_plan("forall", (0, 1), v, zeros_v)
+    superset_plan = quantifier_plan("forall", (0, 1), ones_v, v)
+    bits = _snap01(arr)
+    if expected is None:
+        assert bits is None
+        for plan in (exists_plan, subset_plan, superset_plan):
+            with pytest.raises(NonCharacteristicError):
+                execute(plan)
+        with pytest.raises(NonCharacteristicError):
+            SetVector(v)
+        with pytest.raises(NonCharacteristicError):
+            decode_set(m, v)
+        with pytest.raises(NonOneHotError):
+            apply_predicate(build_predicate(m, "p"), v)
+        return
+    assert bits.dtype == np.bool_ and bits.tolist() == expected
+    assert execute(exists_plan) == (truth_top() if any(expected) else truth_bot())
+    assert execute(subset_plan) == (truth_bot() if any(expected) else truth_top())
+    assert execute(superset_plan) == (truth_top() if all(expected) else truth_bot())
+    stored = SetVector(v).tensor.array
+    assert stored.dtype == np.float64 and stored.tolist() == [float(b) for b in expected]
+    assert decode_set(m, v) == {a for a, bit in zip(m.atom_names, expected) if bit}
+    if sum(expected) == 1:
+        # The check passes the argument, but the contraction reads its raw
+        # floats: noise that moves their sum off 1 by more than ``TOL``
+        # leaves the result unnormalized, as it did before bool bits.
+        try:
+            truth = apply_predicate(build_predicate(m, "p"), v)
+        except InvalidTruthValueError:
+            assert abs(math.fsum(values) - 1.0) > TOL
+        else:
+            assert truth.as_bool() is (expected.index(True) in m.predicates["p"])
+    else:
+        with pytest.raises(NonOneHotError):
+            apply_predicate(build_predicate(m, "p"), v)
+
+
+def test_no_caller_can_hand_the_zero_one_check_an_empty_array():
+    """Every caller checks a ``Tensor``'s array or a plan register loaded
+    from one, and no ``Tensor`` has a zero dimension.  The check itself
+    reads an empty array as the empty set, as an elementwise check would."""
+    with pytest.raises(DimensionMismatchError):
+        Tensor([])
+    assert _snap01(np.zeros(0)).tolist() == []

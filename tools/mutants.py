@@ -167,9 +167,27 @@ MUTANTS = (
     Mutant(
         "snap-tolerance-too-lax",
         "src/tensorlogic/tensor.py",
-        "(np.abs(arr - bits) <= FLOAT_TOL)",
-        "(np.abs(arr - bits) <= 1e-9)",
-        ("tests/test_model.py::TestDecoding",),
+        "axis=None, initial=0.0) <= FLOAT_TOL",
+        "axis=None, initial=0.0) <= 1e-9",
+        (
+            "tests/test_model.py::TestDecoding",
+            "tests/test_model.py::test_zero_one_check_matches_the_reference_through_every_caller",
+        ),
+    ),
+    Mutant(
+        "snap-reduced-with-minimum",
+        "src/tensorlogic/tensor.py",
+        "np.maximum.reduce(np.abs(arr - bits)",
+        "np.minimum.reduce(np.abs(arr - bits)",
+        ("tests/test_model.py::test_zero_one_check_matches_the_reference_through_every_caller",),
+    ),
+    Mutant(
+        "exists-decided-on-the-raw-row",
+        "src/tensorlogic/evaluator.py",
+        "value = _VERDICTS[_nonempty(_set_bits(registers[srcs[0]]))]",
+        "_set_bits(registers[srcs[0]])\n"
+        "                value = _VERDICTS[_nonempty(registers[srcs[0]])]",
+        ("tests/test_model.py::test_zero_one_check_matches_the_reference_through_every_caller",),
     ),
     Mutant(
         "depth-limit-off-by-one",
