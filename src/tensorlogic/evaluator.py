@@ -34,13 +34,17 @@ once, and on a miss stores the bare tensor a raw builder returns
 loads too (the connective tensors and the true-row probe), each the one copy
 built at import.  A relation of arity k has at most n^(k-1) slices, one per
 bound prefix, so its slices in that memo never hold more than the 2 n^k
-elements of its dense tensor.  The dimension preconditions of every step are
-checked at compile time from the model's domain size.  :func:`execute`
-therefore runs the steps directly on the payloads' read-only ndarrays, and
-reads its verdict straight off the two floats of the result register; a
-quantifier step runs the set-vector check on its operand registers and the
-decision kernel of :mod:`tensorlogic.sets` straight on the bool bits that
-the check returns.
+elements of its dense tensor.  Every node lowers through ``load`` and
+``emit``, which is told the result shape that the node's branch knows.  The
+dimension preconditions of every step are checked at compile time from the
+model's domain size.  :func:`execute` therefore runs the steps directly on
+the payloads' read-only ndarrays.  A plan contracts only operands of rank
+at most 2, not both of rank 1, so each ``contract`` step is one
+``ndarray.dot``, bitwise the plain branch of :func:`tensorlogic.tensor.contract`.
+A quantifier step runs the set-vector check on its operand registers and
+the decision kernel of :mod:`tensorlogic.sets` straight on the bool bits
+that the check returns, and the verdict is read straight off the two floats
+of the result register.
 
 :func:`oracle_eval` is the independent referee: it evaluates the same bound
 AST directly over the model's sets with classical connective semantics,
@@ -71,7 +75,7 @@ from .errors import (
 )
 from .model import Model, TruthVec, _set_bits, encode_atom, truth_bot, truth_top
 from .sets import _TRUE_ROW_PROBE, _nonempty, _operands, _subset
-from .tensor import DEFAULT_ELEMENT_CAP, Tensor, _contract_arrays
+from .tensor import DEFAULT_ELEMENT_CAP, Tensor
 from .truth import connective_tensor, predicate_tensor, relation_slice
 
 
@@ -110,21 +114,25 @@ class ContractionPlan(NamedTuple):
         return "\n".join(lines)
 
 
-#: The constant loads of a plan, as ``(note, tensor)`` pairs built once: the
-#: connective tensor of each connective node ...
-_CONNECTIVES = {
-    node: (f"conn:{kind}", connective_tensor(kind).tensor)
-    for kind, node in [
-        ("and", dsl.And), ("or", dsl.Or), ("implies", dsl.Implies), ("not", dsl.Not)
-    ]
-}
-#: ... and the probe that reads a quantifier operand's true row.
-_PROBE = ("true-row-probe", _TRUE_ROW_PROBE)
-
-
 def _constant(tensor: Tensor) -> Tensor:
     """The builder of a constant load: its tensor exists from import on."""
     return tensor
+
+
+def _constant_load(note: str, tensor: Tensor) -> tuple:
+    """The arguments of ``_PlanBuilder.load`` for a constant, size included."""
+    return note, tensor.size, _constant, tensor
+
+
+#: The constant loads of a plan: the connective tensor of each binary
+#: connective node, the negation tensor ...
+_CONNECTIVES = {
+    node: _constant_load(f"conn:{kind}", connective_tensor(kind).tensor)
+    for kind, node in [("and", dsl.And), ("or", dsl.Or), ("implies", dsl.Implies)]
+}
+_NOT = _constant_load("conn:not", connective_tensor("not").tensor)
+#: ... and the probe that reads a quantifier operand's true row.
+_PROBE = _constant_load("true-row-probe", _TRUE_ROW_PROBE)
 
 
 #: Builds a plan or a step from a tuple of all its fields, skipping the
@@ -177,58 +185,40 @@ class _PlanBuilder:
             raise DimensionMismatchError(f"{what} has shape {self.shapes[reg]}, expected {shape}")
         return reg
 
-    def contract(self, a: int, b: int) -> int:
-        """Contract ``a``'s last index with ``b``'s first: (2, n)·(n,),
-        (2, 2)·(2, ...) or (2,)·(2, n) by construction, so they always meet."""
-        shapes = self.shapes
-        return self.emit("contract", (a, b), shapes[a][:-1] + shapes[b][1:])
-
-    def load_constant(self, constant: tuple[str, Tensor]) -> int:
-        note, tensor = constant
-        return self.load(note, tensor.size, _constant, tensor)
-
-    def columnwise(self, kind: type, a: int, b: int) -> int:
-        """One step combining registers ``a`` and ``b``, the lowered operands
-        of a binary node of type ``kind``, column by column with its
-        connective tensor."""
-        shape = self.shapes[a]
-        self.expect(b, shape, "right operand of a connective")
-        t = self.load_constant(_CONNECTIVES[kind])
-        return self.emit("columnwise", (t, a, b), shape)
-
-    def load_predicate(self, pred: str) -> int:
-        """Load the (2, n) truth matrix of predicate ``pred``."""
-        return self.load(f"pred:{pred}", 2 * self.n, predicate_tensor, self.model, pred)
-
-    def load_slice(self, rel: str, bound: tuple[str, ...]) -> int:
-        """Load the (2, n) slice of ``rel`` with its first arguments ``bound``."""
-        if dsl.VAR in bound:
-            raise TensorLogicError(f"the open slot of {rel!r} must be its last argument")
-        note = f"rel:{rel}({','.join(bound + ('_',))})"
-        return self.load(note, 2 * self.n, relation_slice, self.model, rel, bound)
-
     def apply(self, reg: int, arg: str | dsl._Variable) -> int:
-        """Contract register ``reg`` with the one-hot vector of atom ``arg``;
-        an application to ``VAR`` keeps the (2, n) matrix ``reg``."""
+        """Contract the (2, n) matrix ``reg`` with the one-hot vector of atom
+        ``arg``, into a (2,) vector; an application to ``VAR`` keeps ``reg``."""
         if arg is dsl.VAR:
             return reg
         atom = self.load(f"atom:{arg}", self.n, encode_atom, self.model, arg)
-        return self.contract(reg, atom)
+        return self.emit("contract", (reg, atom), (2,))
 
     def lower_formula(self, f: dsl.Formula) -> int:
         """The register holding ``f``.  Each nesting level costs one frame,
-        so an AST 700 deep lowers under the default recursion limit."""
+        so an AST 700 deep lowers under the default recursion limit.  A
+        negation contracts the swap matrix with its body, (2, 2)·(2, ...),
+        which keeps the body's shape."""
         kind = type(f)
         if kind is dsl.Atom:
-            return self.apply(self.load_predicate(f.pred), f.arg)
+            pred = f.pred
+            reg = self.load(f"pred:{pred}", 2 * self.n, predicate_tensor, self.model, pred)
+            return self.apply(reg, f.arg)
         if kind is dsl.RelAtom:
-            args = f.args
-            return self.apply(self.load_slice(f.rel, args[:-1]), args[-1])
+            rel, args = f.rel, f.args
+            bound = args[:-1]
+            if dsl.VAR in bound:
+                raise TensorLogicError(f"the open slot of {rel!r} must be its last argument")
+            note = f"rel:{rel}({','.join(bound + ('_',))})"
+            reg = self.load(note, 2 * self.n, relation_slice, self.model, rel, bound)
+            return self.apply(reg, args[-1])
         if kind is dsl.And or kind is dsl.Or or kind is dsl.Implies:
-            return self.columnwise(kind, self.lower_formula(f.left), self.lower_formula(f.right))
+            a, b = self.lower_formula(f.left), self.lower_formula(f.right)
+            shape = self.shapes[a]
+            self.expect(b, shape, "right operand of a connective")
+            return self.emit("columnwise", (self.load(*_CONNECTIVES[kind]), a, b), shape)
         if kind is dsl.Not:
             b = self.lower_formula(f.body)
-            return self.contract(self.load_constant(_CONNECTIVES[dsl.Not]), b)
+            return self.emit("contract", (self.load(*_NOT), b), self.shapes[b])
         if kind is dsl.ForAll:
             x, y = self.lower_operand(f.subset), self.lower_operand(f.superset)
             return self.emit("forall", (x, y), (2,))
@@ -237,9 +227,10 @@ class _PlanBuilder:
         raise TypeError(f"not a formula node: {f!r}")
 
     def lower_operand(self, f: dsl.Formula) -> int:
-        """The true row of a quantifier operand's (2, n) matrix."""
-        matrix = self.expect(self.lower_formula(f), (2, self.n), "quantifier operand")
-        return self.contract(self.load_constant(_PROBE), matrix)
+        """The true row of a quantifier operand's (2, n) matrix, (2,)·(2, n)."""
+        n = self.n
+        matrix = self.expect(self.lower_formula(f), (2, n), "quantifier operand")
+        return self.emit("contract", (self.load(*_PROBE), matrix), (n,))
 
 
 def compile_formula(
@@ -267,10 +258,11 @@ def execute(plan: ContractionPlan) -> TruthVec:
 
     Registers hold plain ndarrays: the payloads' own read-only arrays, the
     fresh outputs of ``columnwise`` (one einsum for every binary connective)
-    and of ``contract`` (the kernel of :func:`tensorlogic.tensor.contract`),
-    and a quantifier's read-only verdict.  Shapes were checked at compile
-    time; a quantifier still checks that its operands are characteristic
-    vectors, and decides on the bool bits of that check.  The result
+    and of ``contract`` (``ndarray.dot``, since a compiled plan contracts
+    only operands of rank at most 2 and not both of rank 1), and a
+    quantifier's read-only verdict.  Shapes were checked at compile time; a
+    quantifier still checks that its operands are characteristic vectors,
+    and decides on the bool bits of that check.  The result
     register's shape is ``(2,)``, so the verdict is read straight off its
     two floats: a crisp pair is the shared ``truth_top()`` or
     ``truth_bot()`` value, any other pair a new :class:`TruthVec` that must
@@ -284,13 +276,14 @@ def execute(plan: ContractionPlan) -> TruthVec:
                 value = payload._array
             case "contract":
                 a, b = srcs
-                value = _contract_arrays(registers[a], registers[b], shapes[dest])
+                value = registers[a].dot(registers[b])
             case "columnwise":
                 c, a, b = srcs
                 value = np.einsum("abc,c...,b...->a...", registers[c], registers[a], registers[b])
             case "forall":
-                x, y = (_set_bits(registers[s]) for s in srcs)
-                value = _VERDICTS[_subset(*_operands("forall", x, y))]
+                a, b = srcs
+                x, y = _operands("forall", _set_bits(registers[a]), _set_bits(registers[b]))
+                value = _VERDICTS[_subset(x, y)]
             case "exists":
                 value = _VERDICTS[_nonempty(_set_bits(registers[srcs[0]]))]
             case _:

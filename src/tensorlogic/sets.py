@@ -124,14 +124,19 @@ def _operands(op: str, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _subset(x: np.ndarray, y: np.ndarray) -> bool:
     """The subset decision on snapped 0/1 arrays, float64 or bool: no entry
-    is 1 in ``x`` and 0 in ``y``.  Exact, since both arrays hold only exact
-    0s and 1s."""
-    return not (x > y).any()
+    is 1 in ``x`` and 0 in ``y``.  ``argmax`` on the bool ``x > y`` stops at
+    its first True, and the result is a Python ``bool``.  An empty array has
+    no argmax, but no caller has one: each is a ``Tensor``'s array or a plan
+    register loaded from one."""
+    d = x > y
+    return not d[d.argmax()]
 
 
 def _nonempty(x: np.ndarray) -> bool:
-    """The nonemptiness decision on a snapped 0/1 array: some entry is 1."""
-    return bool(x.any())
+    """The nonemptiness decision on a snapped 0/1 array: some entry is 1.
+    Its largest entry, read at ``argmax``, as a Python ``bool``; non-empty
+    as for :func:`_subset`."""
+    return bool(x[x.argmax()])
 
 
 def forall(x: SetVector, y: SetVector) -> TruthVec:

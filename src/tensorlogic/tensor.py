@@ -151,17 +151,19 @@ def one_hot(index: int, size: int) -> Tensor:
 
 
 def _contract_arrays(left: np.ndarray, right: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The one contraction kernel: ``left``'s rightmost index with ``right``'s
-    leftmost, into the result's ``shape``, which the caller already knows.
+    """The kernel of :func:`contract`: ``left``'s rightmost index with
+    ``right``'s leftmost, into the result's ``shape``, which the caller
+    already knows.
 
     When both operands have rank at most 2, and not both rank 1, this is
-    ``left.dot(right)`` as it stands.  Every other pair is one ``.dot`` of
-    the ``(-1, k)`` and ``(k, -1)`` reshapes, reshaped to ``shape``.  The
-    plain branch stops at rank 2 because only there is the product bitwise
-    equal to ``np.tensordot``: on rank 3 and 4 operands it sums in another
-    order and differs in the last bits.  The array method runs the same C
-    routine as ``np.dot`` without its ``__array_function__`` dispatch, a
-    fixed cost that is a large share of a product of plan size.
+    ``left.dot(right)`` as it stands, the product a plan's ``contract`` step
+    computes itself.  Every other pair is one ``.dot`` of the ``(-1, k)``
+    and ``(k, -1)`` reshapes, reshaped to ``shape``.  The plain branch
+    stops at rank 2 because only there is the product bitwise equal to
+    ``np.tensordot``: on rank 3 and 4 operands it sums in another order and
+    differs in the last bits.  The array method runs the same C routine as
+    ``np.dot`` without its ``__array_function__`` dispatch, a fixed cost
+    that is a large share of a product of plan size.
     """
     if left.ndim + right.ndim > 2 and left.ndim <= 2 and right.ndim <= 2:
         return left.dot(right)

@@ -247,9 +247,12 @@ def relation_slice(m: Model, name: str, bound: tuple[str, ...]) -> Tensor:
     return _truth_tensor((n,), true_columns)
 
 
-def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> bool:
-    """Validate a domain-space argument; returns True when the result must be
-    flagged as extrapolated (prob mode, outside the one-hot convex hull)."""
+def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> tuple[Tensor, bool]:
+    """Validate a domain-space argument; returns the argument to contract,
+    and True when the result must be flagged as extrapolated (prob mode,
+    outside the one-hot convex hull).  A crisp argument is contracted as the
+    exact one-hot its 0/1 check reads, so noise within ``FLOAT_TOL`` of
+    either sign leaves a crisp result; a prob argument as it is."""
     if arg.rank != 1 or arg.shape[0] != domain_size:
         raise DimensionMismatchError(
             f"argument must be a vector of length {domain_size}, got shape {arg.shape}"
@@ -259,9 +262,9 @@ def _check_argument(arg: Tensor, domain_size: int, mode: Mode) -> bool:
         bits = _snap01(values)
         if bits is None or bits.sum() != 1:
             raise NonOneHotError(f"crisp application requires a one-hot argument, got {values.tolist()}")
-        return False
+        return Tensor._wrap(bits.astype(np.float64)), False
     convex = bool(np.all(values >= -FLOAT_TOL) and abs(values.sum() - 1.0) <= FLOAT_TOL)
-    return not convex
+    return arg, not convex
 
 
 def apply_predicate(p: PredicateMatrix, arg: Tensor, mode: Mode = "crisp") -> TruthVec:
@@ -272,7 +275,7 @@ def apply_predicate(p: PredicateMatrix, arg: Tensor, mode: Mode = "crisp") -> Tr
     flagged extrapolated.
     """
     _require_mode(mode)
-    extrapolated = _check_argument(arg, p.domain_size, mode)
+    arg, extrapolated = _check_argument(arg, p.domain_size, mode)
     out = contract(p.tensor, arg)
     return TruthVec.from_tensor(out, check=not extrapolated, extrapolated=extrapolated)
 
@@ -286,7 +289,8 @@ def apply_relation(r: RelationTensor, args: list[Tensor], mode: Mode = "crisp") 
     extrapolated = False
     out = r.tensor
     for arg in args:
-        extrapolated |= _check_argument(arg, r.domain_size, mode)
+        arg, flagged = _check_argument(arg, r.domain_size, mode)
+        extrapolated |= flagged
         out = contract(out, arg)
     return TruthVec.from_tensor(out, check=not extrapolated, extrapolated=extrapolated)
 
@@ -298,10 +302,10 @@ def partial_apply(
 
     Binding the first k of n arguments leaves an arity-(n-k) relational
     tensor; with one open slot left the result is a predicate matrix.  Crisp
-    arguments are checked one-hot, so a crisp output inherits validity from
-    the relation and is not checked again.  A mixed "prob" argument leaves
-    columns off the truth basis, so a prob output is validated: such a
-    result raises :class:`InvalidPredicateError`.
+    arguments are checked and contracted as exact one-hots, so a crisp
+    output inherits validity from the relation and is not checked again.  A
+    mixed "prob" argument leaves columns off the truth basis, so a prob
+    output is validated: such a result raises :class:`InvalidPredicateError`.
     """
     _require_mode(mode)
     if len(prefix_args) >= r.arity:
@@ -310,8 +314,7 @@ def partial_apply(
         )
     out = r.tensor
     for arg in prefix_args:
-        _check_argument(arg, r.domain_size, mode)
-        out = contract(out, arg)
+        out = contract(out, _check_argument(arg, r.domain_size, mode)[0])
     remaining = r.arity - len(prefix_args)
     if remaining == 1:
         return PredicateMatrix(out, validate=mode == "prob")

@@ -48,6 +48,16 @@ def quantifier_plan(op, srcs, x: Tensor, y: Tensor) -> ContractionPlan:
     return ContractionPlan(steps, 2, (x.shape, y.shape, (2,)))
 
 
+def assert_contractions_are_plain_dot(plan: ContractionPlan) -> None:
+    """Every ``contract`` step of ``plan`` pairs operands of rank at most 2,
+    not both of rank 1: the branch of ``tensor._contract_arrays`` that is
+    ``left.dot(right)`` as it stands, the product ``execute`` computes."""
+    for op, _, srcs, _, _ in plan.steps:
+        if op == "contract":
+            ranks = [len(plan.register_shapes[s]) for s in srcs]
+            assert max(ranks) <= 2 and ranks != [1, 1], plan.describe()
+
+
 def formulas_up_to_depth(depth, leaves):
     """Every connective formula of AST depth <= depth over the given leaves."""
     if depth <= 1:

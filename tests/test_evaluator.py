@@ -45,6 +45,7 @@ from tensorlogic.tensor import DEFAULT_ELEMENT_CAP, Tensor
 from tensorlogic.truth import build_relation, connective_not
 from tests.helpers import (
     SWEEP_ERROR_MESSAGE,
+    assert_contractions_are_plain_dot,
     formulas_up_to_depth,
     leaf_valuation_models,
     patch_sweep_tensor_path,
@@ -329,6 +330,13 @@ class TestEquivalenceSweep:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "3e1769fa4160a3f76c928ea6f91dd5794452805f952be30e7bc7f24926192c32"
         )
+
+    def test_seed_151_plans_contract_only_rank_two_pairs(self):
+        rng = random.Random(151)
+        for _ in range(2000):
+            m = random_model(rng, max_domain=5)
+            f = random_formula(rng, m, max_depth=3)
+            assert_contractions_are_plain_dot(compile_formula(f, m))
 
     def test_sweep_agrees(self):
         report = equivalence_sweep(SweepConfig(max_domain=4, max_depth=3, seed=7, count=500))

@@ -24,8 +24,9 @@ from tensorlogic.dsl import (
     print_formula,
     print_model,
 )
-from tensorlogic.evaluator import evaluate, oracle_eval
+from tensorlogic.evaluator import compile_formula, evaluate, oracle_eval
 from tensorlogic.model import Model
+from tests.helpers import assert_contractions_are_plain_dot
 from tests.test_relation_slices import bits, dense_evaluate
 
 PREDICATES = ("p", "q")
@@ -113,3 +114,10 @@ def test_drawn_formulas_round_trip_and_agree_with_the_oracle(model_path, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["eval", "--model", str(model_path), f"--formula={text}"])
     assert code == (0 if truth else 1)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_drawn_plans_contract_only_rank_two_pairs(data):
+    m = data.draw(models(), label="model")
+    assert_contractions_are_plain_dot(compile_formula(data.draw(formulas(m), label="formula"), m))

@@ -29,7 +29,13 @@ from tensorlogic.model import (
 )
 from tensorlogic.sets import SetVector
 from tensorlogic.tensor import FLOAT_TOL, Tensor, _snap01
-from tensorlogic.truth import apply_predicate, build_predicate
+from tensorlogic.truth import (
+    apply_predicate,
+    apply_relation,
+    build_predicate,
+    build_relation,
+    partial_apply,
+)
 from tests.helpers import encode_set, quantifier_plan
 
 
@@ -429,18 +435,29 @@ def test_zero_one_check_matches_the_reference_through_every_caller(values):
     assert stored.dtype == np.float64 and stored.tolist() == [float(b) for b in expected]
     assert decode_set(m, v) == {a for a, bit in zip(m.atom_names, expected) if bit}
     if sum(expected) == 1:
-        # The check passes the argument, but the contraction reads its raw
-        # floats: noise that moves their sum off 1 by more than ``TOL``
-        # leaves the result unnormalized, as it did before bool bits.
-        try:
-            truth = apply_predicate(build_predicate(m, "p"), v)
-        except InvalidTruthValueError:
-            assert abs(math.fsum(values) - 1.0) > TOL
-        else:
-            assert truth.as_bool() is (expected.index(True) in m.predicates["p"])
+        # The contraction reads the exact one-hot the check accepted, so
+        # every accepted argument gives its crisp verdict.
+        truth = apply_predicate(build_predicate(m, "p"), v)
+        assert truth == (truth_top() if expected.index(True) in m.predicates["p"] else truth_bot())
     else:
         with pytest.raises(NonOneHotError):
             apply_predicate(build_predicate(m, "p"), v)
+
+
+@pytest.mark.parametrize("noise", [FLOAT_TOL, -FLOAT_TOL], ids=["plus-tol", "minus-tol"])
+def test_crisp_application_contracts_the_snapped_one_hot(noise):
+    """Noise within ``FLOAT_TOL`` on an accepted one-hot gives the crisp
+    verdict whatever its sign: the argument contracted is the exact one-hot
+    that the check reads, so a raw sum just above 1 cannot leave the result
+    unnormalized.  Each function that applies a symbol contracts it."""
+    m = Model.from_names(
+        ["a", "b", "c"], predicates={"p": ["b"]}, relations={"r": (2, [("a", "a")])}
+    )
+    v = Tensor([1.0, noise, 0.0])
+    assert apply_predicate(build_predicate(m, "p"), v) == truth_bot()
+    assert apply_relation(build_relation(m, "r"), [v, v]) == truth_top()
+    bound = partial_apply(build_relation(m, "r"), [v]).tensor
+    assert bound == Tensor([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
 
 
 def test_no_caller_can_hand_the_zero_one_check_an_empty_array():

@@ -11,10 +11,13 @@ from tensorlogic.errors import (
     InvalidPredicateError,
     NonCharacteristicError,
 )
+from tensorlogic.evaluator import execute
 from tensorlogic.model import Model, decode_set, encode_atom, truth_bot, truth_top
 from tensorlogic.sets import (
     SetPredicateMatrix,
     SetVector,
+    _nonempty,
+    _subset,
     apply_set_predicate,
     build_set_predicate,
     convert_set_to_truth,
@@ -27,7 +30,7 @@ from tensorlogic.sets import (
 )
 from tensorlogic.tensor import Tensor, ones
 from tensorlogic.truth import apply_predicate, build_predicate, build_relation, partial_apply
-from tests.helpers import encode_set, intersect, union
+from tests.helpers import encode_set, intersect, quantifier_plan, union
 
 
 def random_predicate_models(seed, count, max_domain):
@@ -228,6 +231,38 @@ class TestExists:
             x = SetVector(Tensor(list(bits)))
             expected = truth_top() if any(bits) else truth_bot()
             assert exists(x) == expected
+
+
+def decision_rows(n):
+    """0/1 rows of length ``n``: all zero, all one, and a single 1 at the
+    first, the middle and the last entry."""
+    rows = {"zeros": [0.0] * n, "ones": [1.0] * n}
+    for name, i in (("first", 0), ("middle", n // 2), ("last", n - 1)):
+        rows[f"one-{name}"] = [1.0 if j == i else 0.0 for j in range(n)]
+    return rows
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.float64], ids=["bool", "float64"])
+@pytest.mark.parametrize("n", [1, 2, 3, 80, 3000])
+def test_decision_kernels_match_plain_python(n, dtype):
+    """``_nonempty`` and ``_subset`` decide as plain-Python ``any`` and
+    ``all`` do on every pair of rows, return a Python ``bool``, and a
+    hand-built plan's quantifier steps and ``exists``/``forall`` on set
+    vectors give the same verdicts."""
+    rows = decision_rows(n)
+    verdict = {False: truth_bot(), True: truth_top()}
+    for name, x in rows.items():
+        nonempty = _nonempty(np.array(x, dtype=dtype))
+        assert type(nonempty) is bool and nonempty is any(x), name
+        plan = quantifier_plan("exists", (0,), Tensor(x), Tensor(x))
+        assert execute(plan) == exists(SetVector(Tensor(x))) == verdict[nonempty]
+        for other, y in rows.items():
+            subset = _subset(np.array(x, dtype=dtype), np.array(y, dtype=dtype))
+            expected = all(not a or b for a, b in zip(x, y))
+            assert type(subset) is bool and subset is expected, (name, other)
+            plan = quantifier_plan("forall", (0, 1), Tensor(x), Tensor(y))
+            by_sets = forall(SetVector(Tensor(x)), SetVector(Tensor(y)))
+            assert execute(plan) == by_sets == verdict[subset]
 
 
 class TestConversions:

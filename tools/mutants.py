@@ -86,9 +86,16 @@ MUTANTS = (
     Mutant(
         "subset-decided-with-greater-or-equal",
         "src/tensorlogic/sets.py",
-        "return not (x > y).any()",
-        "return not (x >= y).any()",
+        "    d = x > y\n",
+        "    d = x >= y\n",
         ("tests/test_evaluator.py",),
+    ),
+    Mutant(
+        "nonempty-reads-the-first-entry",
+        "src/tensorlogic/sets.py",
+        "return bool(x[x.argmax()])",
+        "return bool(x[0])",
+        ("tests/test_sets.py::test_decision_kernels_match_plain_python",),
     ),
     Mutant(
         "slice-prefix-reversed",
@@ -100,9 +107,9 @@ MUTANTS = (
     Mutant(
         "extra-probe-load",
         "src/tensorlogic/evaluator.py",
-        "return self.contract(self.load_constant(_PROBE), matrix)",
-        "self.load_constant(_PROBE)\n"
-        "        return self.contract(self.load_constant(_PROBE), matrix)",
+        'return self.emit("contract", (self.load(*_PROBE), matrix), (n,))',
+        "self.load(*_PROBE)\n"
+        '        return self.emit("contract", (self.load(*_PROBE), matrix), (n,))',
         ("tests/test_plan_memo.py",),
     ),
     Mutant(
@@ -188,6 +195,13 @@ MUTANTS = (
         "_set_bits(registers[srcs[0]])\n"
         "                value = _VERDICTS[_nonempty(registers[srcs[0]])]",
         ("tests/test_model.py::test_zero_one_check_matches_the_reference_through_every_caller",),
+    ),
+    Mutant(
+        "crisp-argument-contracted-raw",
+        "src/tensorlogic/truth.py",
+        "return Tensor._wrap(bits.astype(np.float64)), False",
+        "return arg, False",
+        ("tests/test_model.py::test_crisp_application_contracts_the_snapped_one_hot",),
     ),
     Mutant(
         "depth-limit-off-by-one",
