@@ -53,11 +53,16 @@ the token parser reports every error: text that any pattern does not take is
 read again by the token parser, so a model's errors, messages and positions
 are the token parser's alone.  That parser and the formula parser read one
 token stream: after one check of the whole text's characters, each token is
-the next match of one pattern, read only when the parser asks for it, and a
+the next match of a pattern, read only when the parser asks for it, and a
 line and column are computed from a token's offset only for an error.  So an
 unexpected character anywhere is the error reported, whatever else is wrong
 before it, and formula text nested too deep is rejected after reading about
-:data:`MAX_DEPTH` tokens, not all of them.
+:data:`MAX_DEPTH` tokens, not all of them.  In formula text a whole
+application with only blanks inside, such as ``r(a, b)``, is one match.  The
+parser takes it as one node where it binds as written, outside a
+quantifier's operand; anywhere else it reads the text again from there one
+token at a time, so a formula's errors, messages and positions are those of
+the one-token path alone.
 
 ``domain``, ``pred``, ``rel``, ``all`` and ``exists`` are reserved words and
 cannot name atoms, predicates, or relations.  Names start with a letter and
@@ -69,8 +74,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, Iterator
+from functools import lru_cache
+from typing import Iterator
 
 from .errors import (
     ArityError,
@@ -188,7 +193,16 @@ _NAME_RE = re.compile(_NAME)
 #: blanks at the end are part of the last match, so no scan starts inside a
 #: comment.
 _MODEL_TOKEN_RE = re.compile(rf"(?:[^\S\n]+|#[^\n]*)*(->|{_NAME}|\d+|[_(),:/~&|\n]|\Z)")
-_FORMULA_TOKEN_RE = re.compile(rf"(?:\s+|#[^\n]*)*(->|{_NAME}|\d+|[_(),:/~&|]|\Z)")
+_FORMULA_SKIP = r"\s*(?:#[^\n]*\s*)*"
+_FORMULA_TOKEN = rf"{_NAME}|->|\d+|[_(),:/~&|]|\Z"
+_FORMULA_TOKEN_RE = re.compile(rf"{_FORMULA_SKIP}({_FORMULA_TOKEN})")
+#: The formula parser's pattern: a whole application ``name(name, ..., name)``
+#: with only blanks inside, group 2 its name and group 3 its arguments, or
+#: else one token as above.  Read one token at a time, such an application
+#: is the same tokens.
+_APPLICATION_TOKEN_RE = re.compile(
+    rf"{_FORMULA_SKIP}(({_NAME})\s*\(\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*\)|{_FORMULA_TOKEN})"
+)
 
 #: The longest prefix of a text that the token patterns split into tokens with
 #: no character left over: it ends at the text's first unexpected character.
@@ -223,8 +237,9 @@ class _Tokens:
     """One text's tokens, read on demand, with one token of lookahead.
 
     ``next`` is the text of the token :meth:`advance` reads next: a name,
-    digits, ``->``, one of ``_(),:/~&|``, a newline in model text, or ``""``
-    at the end of the text.  A token read is its match of the token pattern;
+    digits, ``->``, one of ``_(),:/~&|``, a newline in model text, a whole
+    application in formula text (see :class:`_FormulaParser`), or ``""`` at
+    the end of the text.  A token read is its match of the token pattern;
     its line and column are computed from its offset, and only for an error.
     """
 
@@ -481,9 +496,12 @@ def print_model(m: Model) -> str:
 #: bounds the recursion of parsing, compiling and the oracle alike.
 MAX_DEPTH = 100
 
+#: Each binary connective's precedence, tighter binding higher, and its node.
+_BINARY = {"&": (3, And), "|": (2, Or), "->": (1, Implies)}
+
 
 class _FormulaParser(_Tokens):
-    """Recursive descent over one formula's tokens.
+    """Precedence climbing over one formula's tokens.
 
     Every production returns its node with its depth: the largest number of
     connectives and parenthesis pairs around any one atom in it, so
@@ -492,25 +510,42 @@ class _FormulaParser(_Tokens):
     :data:`MAX_DEPTH` is a :class:`ParseError` at the token that crosses it.
     The binary chains are loops, but ``~``, ``->`` and parentheses recurse,
     so ``open`` counts those entered and the descent stops at the limit,
-    long before the interpreter's stack does.
+    long before the interpreter's stack does; a parenthesis level costs
+    three frames, :meth:`primary`, :meth:`expression` and :meth:`unary`.
+
+    ``next`` may be a whole application, which :meth:`primary` takes as one
+    node when it binds as written outside a quantifier's operand.  Anywhere
+    else the text is read again from that token with the one-token pattern
+    (:meth:`reread`), so every error, message and position comes from the
+    token-by-token path.
     """
 
     def __init__(self, text: str, m: Model):
-        super().__init__(text, _FORMULA_TOKEN_RE)
+        super().__init__(text, _APPLICATION_TOKEN_RE)
         self.model = m
         self.open = 0
         # Whether the descent is inside a quantifier's operand, where a name
         # is a set and a quantifier is refused.
         self.in_operand = False
-        # The tighter chain, bound here so that a level of nesting costs no
-        # extra stack frame for it.
-        self.and_chain = partial(self.chain, self.unary, "&", And)
 
     def parse(self) -> Formula:
-        formula, _ = self.implies()
+        formula, _ = self.expression(0)
         if self.next:
+            self.reread()
             raise self.error(f"unexpected trailing input {self.next!r}")
         return formula
+
+    def reread(self) -> None:
+        """Read the text again with the one-token pattern from the next token
+        on, when that token is a whole application."""
+        if self.next[-1:] == ")" != self.next:
+            self._matches = _FORMULA_TOKEN_RE.finditer(self.text, self._next_match.start(1))
+            self._next_match = next(self._matches)
+            self.next = self._next_match[1]
+
+    def unexpected(self, expected: str) -> ParseError:
+        self.reread()
+        return super().unexpected(expected)
 
     # -- depth -------------------------------------------------------------
 
@@ -529,28 +564,24 @@ class _FormulaParser(_Tokens):
             raise self.too_deep(token)
         return depth + 1
 
-    def chain(
-        self, operand: Callable[[], tuple[Formula, int]], op: str, node_type: type
-    ) -> tuple[Formula, int]:
-        """A left-associative chain ``operand (op operand)*``."""
-        node, depth = operand()
-        while self.next == op:
-            token = self.advance()
-            right, right_depth = operand()
-            node, depth = node_type(node, right), self.deeper(max(depth, right_depth), token)
-        return node, depth
-
     # -- truth layer ------------------------------------------------------
 
-    def implies(self) -> tuple[Formula, int]:
-        left, depth = self.chain(self.and_chain, "|", Or)
-        if self.next != "->":
-            return left, depth
-        token = self.advance()
-        self.enter(token)
-        right, right_depth = self.implies()
-        self.open -= 1
-        return Implies(left, right), self.deeper(max(depth, right_depth), token)
+    def expression(self, floor: int) -> tuple[Formula, int]:
+        """Unary operands joined by the binary connectives that bind at least
+        as tightly as ``floor``: ``&`` left-associative, then ``|``, then
+        ``->``, which groups to the right."""
+        node, depth = self.unary()
+        while (binary := _BINARY.get(self.next)) is not None and binary[0] >= floor:
+            precedence, node_type = binary
+            token = self.advance()
+            if node_type is Implies:
+                self.enter(token)
+                right, right_depth = self.expression(precedence)
+                self.open -= 1
+            else:
+                right, right_depth = self.expression(precedence + 1)
+            node, depth = node_type(node, right), self.deeper(max(depth, right_depth), token)
+        return node, depth
 
     def unary(self) -> tuple[Formula, int]:
         if self.next != "~":
@@ -563,10 +594,18 @@ class _FormulaParser(_Tokens):
 
     def primary(self) -> tuple[Formula, int]:
         keyword = self.next
+        # Of the tokens that end in ")", only a whole application is longer.
+        if keyword[-1:] == ")" != keyword:
+            node = None if self.in_operand else self.whole_application(self._next_match)
+            if node is not None:
+                self.advance()
+                return node, 0
+            self.reread()
+            keyword = self.next
         if keyword == "(":
             token = self.advance()
             self.enter(token)
-            node, depth = self.implies()
+            node, depth = self.expression(0)
             self.expect(")")
             self.open -= 1
             return node, self.deeper(depth, token)
@@ -596,7 +635,26 @@ class _FormulaParser(_Tokens):
         self.expect(")")
         return self.bind_application(name, tuple(args)), 0
 
+    def whole_application(self, token: re.Match) -> Formula | None:
+        """The node of a whole application when its name and arguments bind
+        as written, else ``None``: then the token-by-token path reads it."""
+        name, args = token[2], token[3].replace(",", " ").split()
+        m = self.model
+        if (
+            name in RESERVED
+            or not RESERVED.isdisjoint(args)
+            or not all(map(m._index.__contains__, args))
+        ):
+            return None
+        if name in m.predicates:
+            return Atom(name, args[0]) if len(args) == 1 else None
+        decl = m.relations.get(name)
+        if decl is not None and decl.arity == len(args):
+            return RelAtom(name, tuple(args))
+        return None
+
     def atom_name(self) -> str:
+        self.reread()
         token = self.expect_name("an atom name")
         name = token[1]
         try:

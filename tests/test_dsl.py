@@ -3,10 +3,12 @@
 import hashlib
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensorlogic import dsl
 from tensorlogic.dsl import (
     _accept_model,
     _parse_model_tokens,
@@ -46,6 +48,7 @@ from tensorlogic.generate import random_formula, random_model
 from tensorlogic.model import Model
 from tests.conftest import BROWN_DOG_TEXT, GREEK_TEXT, LOVES_TEXT, MATHEMATICIAN_TEXT
 from tests.helpers import DEEP_SHAPES, ONE_ATOM_TEXT
+from tests.test_grammar import formulas as drawn_formulas, models as drawn_models
 
 
 class TestParseModel:
@@ -740,7 +743,8 @@ def test_the_tokenizer_error_is_every_parser_error(text):
 )
 def test_deep_text_is_rejected_in_bounded_memory(text):
     # The parser gives up after about MAX_DEPTH tokens, so it needs to have
-    # read no more than those, of the flat chain's 14,999 as of the others.
+    # read no more than those, of the flat chain's 5,999 (each p0(e0) is one
+    # token) as of the others.
     m = parse_model("domain e0\npred p0: e0\n")
     tracemalloc.start()
     try:
@@ -901,3 +905,49 @@ def test_parse_outcomes_on_a_seeded_corpus_are_pinned():
     outcomes += [repr(_outcome(lambda t: print_model(parse_model(t)), text)) for text in models]
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "b87069ce004cff51b5bad878f2c5d98fb92abdd2fb8d0dd52a23b474438f10a0"
+
+
+# Texts at the edge of reading an application whole: in an operand, after a
+# quantifier keyword, with a blank before its '(', bound wrongly, spread over
+# a comment, quoted by a message, or inside another application.
+APPLICATION_LOOKALIKES = [
+    "exists (p)", "exists(p)", "all p (q)", "all (p) (q)", "p (a)", "p(\n a # c\n)",
+    "p(a, b)", "r(a)", "p(zz)", "p(a) q(b)", "(p(a) q(b))", "s(q(a), b, _)",
+]
+
+
+def _formula_outcome(text, m):
+    return _outcome(lambda t: parse_formula(t, m), text)
+
+
+def _token_path_outcome(text, m):
+    """The outcome of parsing ``text`` with one-token reads only."""
+    with mock.patch.object(dsl, "_APPLICATION_TOKEN_RE", dsl._FORMULA_TOKEN_RE):
+        return _formula_outcome(text, m)
+
+
+def test_whole_applications_parse_as_the_token_path_does():
+    """Each corpus formula and lookalike gives the same AST, or the same
+    error class, message, line and column, whether its applications are read
+    whole or token by token."""
+    formulas, _ = _corpus_texts(random.Random(20))
+    texts = formulas + APPLICATION_LOOKALIKES
+    whole = sum(
+        any(match[2] for match in dsl._APPLICATION_TOKEN_RE.finditer(text)) for text in texts
+    )
+    assert whole > 1000
+    # A model built in code may name symbols and atoms with reserved words,
+    # which formula text reads as keywords.
+    reserved = Model.from_names(["a", "all"], {"exists": ["a"], "p": ["all"]})
+    cases = [(parse_model(CORPUS_MODEL_TEXT), texts), (reserved, ["exists(a)", "p(all)", "p(a)"])]
+    for m, model_texts in cases:
+        for text in model_texts:
+            assert _formula_outcome(text, m) == _token_path_outcome(text, m), text
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_printed_formulas_parse_as_the_token_path_does(data):
+    m = data.draw(drawn_models(), label="model")
+    text = print_formula(data.draw(drawn_formulas(m), label="formula"))
+    assert _formula_outcome(text, m) == _token_path_outcome(text, m)

@@ -227,9 +227,44 @@ MUTANTS = (
     Mutant(
         "formula-pattern-keeps-comments",
         "src/tensorlogic/dsl.py",
-        'rf"(?:\\s+|#[^\\n]*)*(',
-        'rf"(?:\\s+)*(',
+        '_FORMULA_SKIP = r"\\s*(?:#[^\\n]*\\s*)*"',
+        '_FORMULA_SKIP = r"\\s*"',
         ("tests/test_dsl.py",),
+    ),
+    Mutant(
+        "whole-application-skips-predicate-arity",
+        "src/tensorlogic/dsl.py",
+        "return Atom(name, args[0]) if len(args) == 1 else None",
+        "return Atom(name, args[0])",
+        ("tests/test_dsl.py::test_whole_applications_parse_as_the_token_path_does",),
+    ),
+    Mutant(
+        "whole-application-skips-relation-arity",
+        "src/tensorlogic/dsl.py",
+        "if decl is not None and decl.arity == len(args):",
+        "if decl is not None:",
+        ("tests/test_dsl.py::test_whole_applications_parse_as_the_token_path_does",),
+    ),
+    Mutant(
+        "whole-application-takes-a-reserved-name",
+        "src/tensorlogic/dsl.py",
+        "name in RESERVED\n            or not RESERVED.isdisjoint(args)",
+        "not RESERVED.isdisjoint(args)",
+        ("tests/test_dsl.py::test_whole_applications_parse_as_the_token_path_does",),
+    ),
+    Mutant(
+        "atom-name-takes-a-whole-application",
+        "src/tensorlogic/dsl.py",
+        "        self.reread()\n        token = self.expect_name(\"an atom name\")",
+        "        token = self.expect_name(\"an atom name\")",
+        ("tests/test_dsl.py::test_whole_applications_parse_as_the_token_path_does",),
+    ),
+    Mutant(
+        "or-binds-tighter-than-and",
+        "src/tensorlogic/dsl.py",
+        '_BINARY = {"&": (3, And), "|": (2, Or),',
+        '_BINARY = {"&": (2, And), "|": (3, Or),',
+        ("tests/test_dsl.py", "tests/test_grammar.py"),
     ),
     Mutant(
         "model-pattern-keeps-comments",
