@@ -17,6 +17,13 @@ round trip included, and a failing command writes nothing to stdout, except
 ``sweep``, whose records and summary come before its capped-instance error.
 (A usage error is argparse's own: exit 2 with a usage message.)
 
+Each command's own parser reads its arguments: ``main`` looks the first
+argument up among the commands and hands it the rest. The top-level parser
+handles only help, a missing or unknown command, an option before the
+command, and its usage errors, such as arguments a command leaves over.
+Model and formula files are read as UTF-8 with an optional byte order mark,
+and ``\\r\\n`` or ``\\r`` ends a line as ``\\n`` does.
+
 Pretty output uses the Unicode truth glyphs, so a standard output that
 cannot encode them is an error (exit 2) whose message points to records
 output; records output emits one self-describing JSON object per line with
@@ -82,8 +89,16 @@ def _format_blocks(tensor: np.ndarray) -> list[str]:
     return lines
 
 
+def _read_text(path: str) -> str:
+    """A model or formula file: UTF-8 with an optional byte order mark, and
+    ``\\r\\n`` or ``\\r`` ending a line as ``\\n`` does. An ``OSError`` quotes
+    ``path`` as given."""
+    with open(path, encoding="utf-8-sig") as f:
+        return f.read()
+
+
 def _read_model(path: str) -> Model:
-    return parse_model(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_model(_read_text(path))
 
 
 def _cmd_eval(args: argparse.Namespace) -> Outcome:
@@ -91,7 +106,7 @@ def _cmd_eval(args: argparse.Namespace) -> Outcome:
     if args.formula is not None:
         text = args.formula
     else:
-        text = Path(args.formula_file).read_text(encoding="utf-8-sig")
+        text = _read_text(args.formula_file)
     formula = parse_formula(text, m)
     result = execute(compile_formula(formula, m, cap=args.cap))
     truth = result.as_bool()
@@ -265,9 +280,9 @@ def sweep_depth(text: str) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later one in the process: callers must not mutate it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and, by command name, the parser it registers
+    for each command: built on the first call, shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="tensorlogic",
         description="Evaluate predicate-calculus formulas over finite models by tensor contraction.",
@@ -309,11 +324,37 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--output", choices=["pretty", "records"], default="pretty")
     sweep_parser.set_defaults(handler=_cmd_sweep)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process: callers must not mutate it.
+
+    ``main`` hands an argv that starts with a command name to that command's
+    own parser, registered here, so this parser reads only the rest: help, a
+    missing or unknown command, an option before the command, and its usage
+    errors."""
+    return _parsers()[0]
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` by default); return its exit code.
+
+    When ``argv[0]`` names a command, that command's parser reads the rest
+    of ``argv`` and the top-level parser only reports arguments left over,
+    as ``parse_args`` would; the top-level parser reads any other ``argv``."""
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     try:
         code, lines, error = args.handler(args)
         try:

@@ -372,14 +372,98 @@ class TestInProcessEntryPoint:
         assert cli.build_parser() is cli.build_parser()
 
 
+def run_main(argv):
+    """``main(argv)`` in process: its return code (or ``SystemExit`` code),
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgvRoute:
+    """An argv that starts with a command name goes straight to that
+    command's parser; every outcome must be the top-level parser's own."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "m.model").write_text(MATHEMATICIAN_TEXT)
+        (tmp_path / "q.formula").write_text("mathematician(tom)\n")
+        return tmp_path
+
+    def corpus(self, files):
+        model, formula = str(files / "m.model"), str(files / "q.formula")
+        john = ["eval", "--model", model, "--formula", "mathematician(john)"]
+        return [
+            [], ["-h"], ["--help"], ["-h", "eval"], ["--", "eval"], ["--bogus", "eval"],
+            ["evl"], ["eval=x"], ["eval"], ["eval", "-h"], ["eval", "--he"],
+            ["eval", "--mod", model, "--formula", "mathematician(john)"],
+            ["eval", "--model", model, "--formula=mathematician(john)"],
+            ["eval", "--model", model, "--formula", "-mathematician(john)"],
+            ["eval", "--model", model, "--formula=-mathematician(john)"],
+            [*john, "--formula-file", formula],
+            [*john, "--cap", "0"], [*john, "--bogus"], [*john, "--", "x"], [*john, "x"],
+            [*john, "--output", "records"],
+            ["eval", "--model", model, "--formula-file", formula],
+            ["show", "--model", model], ["show", "--model", model, "mathematician"],
+            ["truth-table", "xor"], ["truth-table", "and", "--check"],
+            ["truth-table", "implies", "--output", "records"],
+            ["sweep", "--max-domain", "171"], ["sweep", "--max-depth", "99"],
+            ["sweep", "--count", "5", "--output", "records"],
+        ]
+
+    def test_every_outcome_is_the_top_level_parsers(self, files, monkeypatch):
+        parser, commands = cli._parsers()
+        namespaces, top_level = [], []
+
+        def spy(handler):
+            def record(args):
+                namespaces.append(vars(args).copy())
+                return handler(args)
+            return record
+
+        for command in commands.values():
+            handler = command.get_default("handler")
+            monkeypatch.setitem(command._defaults, "handler", spy(handler))
+        parse_args = parser.parse_args
+
+        def counted_parse_args(argv):
+            top_level.append(argv)
+            return parse_args(argv)
+
+        monkeypatch.setattr(parser, "parse_args", counted_parse_args)
+
+        def outcomes():
+            """Per argv: code, stdout, stderr, the namespace its handler
+            received, and whether the top-level parser read it."""
+            results = []
+            for argv in self.corpus(files):
+                del namespaces[:], top_level[:]
+                results.append((*run_main(argv), namespaces[:], bool(top_level)))
+            return results
+
+        routed = outcomes()
+        monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+        for argv, direct, plain in zip(self.corpus(files), routed, outcomes()):
+            assert direct[:4] == plain[:4], argv
+            # Only an argv that starts with a command name bypasses the
+            # top-level parser.
+            assert (direct[4], plain[4]) == (not argv or argv[0] not in commands, True), argv
+        # Eight argvs parse and reach their command; the rest are usage
+        # errors and help, which exit before it.
+        assert sum(bool(r[3]) for r in routed) == 8
+        assert {r[0] for r in routed} == {0, 1, 2}
+
+
 def assert_contract(argv):
     """Run ``main(argv)`` in process: exit 0, 1 or 2, and 2 exactly when
     stderr starts with ``error:``."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, _, err = run_main(argv)
     assert code in (0, 1, 2)
-    assert (code == 2) == err.getvalue().startswith("error:")
+    assert (code == 2) == err.startswith("error:")
 
 
 # Reproducible, and writes no example database.
@@ -491,6 +575,74 @@ class TestExitCodeContract:
             assert "(line 1, column " in err.getvalue()
         else:
             assert (code, err.getvalue()) == (0 if truth else 1, "")
+
+
+class TestInputFiles:
+    """Model and formula files are read as UTF-8 text with an optional byte
+    order mark and universal newlines."""
+
+    MODEL = "domain a b\n# people\npred p: a\nrel r/2: (a, b)\n"
+    FORMULAS = [
+        "p(a) &\n  exists r(a, _)  # true\n",
+        # The comment ends at the line end: p(b) is false.
+        "p(a)  # c\n& p(b)\n",
+        "p(a) &\n  p(zz)\n",
+    ]
+
+    @pytest.mark.parametrize(
+        "prefix, newline", [("", "\r\n"), ("", "\r"), ("\ufeff", "\r\n")],
+        ids=["crlf", "cr", "bom-crlf"],
+    )
+    @pytest.mark.parametrize("formula", FORMULAS, ids=["true", "comment", "error"])
+    def test_line_ends_read_as_newlines(self, tmp_path, prefix, newline, formula):
+        def outcome(name, start, end):
+            for suffix, text in (("model", self.MODEL), ("formula", formula)):
+                data = (start + text.replace("\n", end)).encode("utf-8")
+                (tmp_path / f"{name}.{suffix}").write_bytes(data)
+            return run_main([
+                "eval", "--model", str(tmp_path / f"{name}.model"),
+                "--formula-file", str(tmp_path / f"{name}.formula"), "--output", "records",
+            ])
+
+        assert outcome("twin", prefix, newline) == outcome("lf", "", "\n")
+
+    def test_what_the_line_end_cases_read(self, tmp_path):
+        outcomes = []
+        for i, formula in enumerate(self.FORMULAS):
+            (tmp_path / "m.model").write_text(self.MODEL)
+            (tmp_path / f"{i}.formula").write_text(formula)
+            outcomes.append(run_main([
+                "eval", "--model", str(tmp_path / "m.model"),
+                "--formula-file", str(tmp_path / f"{i}.formula"),
+            ]))
+        assert outcomes == [
+            (0, TOP + "\n", ""),
+            (1, BOT + "\n", ""),
+            (2, "", "error: unknown atom: 'zz' (line 2, column 5)\n"),
+        ]
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_a_latin1_model_names_the_byte(self, tmp_path, bom):
+        path = tmp_path / "latin1.model"
+        path.write_bytes(bom + "domain e0 caf\xe9\npred p0: e0\n".encode("latin-1"))
+        assert run_main(["eval", "--model", str(path), "--formula", "p0(e0)"]) == (
+            2,
+            "",
+            "error: 'utf-8' codec can't decode byte 0xe9 in position 13: "
+            "invalid continuation byte\n",
+        )
+
+    @pytest.mark.parametrize("path", ["", "./nope.model"], ids=["empty", "dot-slash"])
+    def test_a_missing_file_is_quoted_as_given(self, tmp_path, monkeypatch, path):
+        # The path reaches the OS unnormalized: "" is no file, not ".".
+        monkeypatch.chdir(tmp_path)
+        assert run_main(["eval", "--model", path, "--formula", "p(a)"]) == (
+            2, "", f"error: [Errno 2] No such file or directory: {path!r}\n"
+        )
+        (tmp_path / "m.model").write_text(MATHEMATICIAN_TEXT)
+        assert run_main(["eval", "--model", "m.model", "--formula-file", path]) == (
+            2, "", f"error: [Errno 2] No such file or directory: {path!r}\n"
+        )
 
 
 def test_only_sweep_loads_the_generator():

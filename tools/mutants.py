@@ -322,6 +322,27 @@ MUTANTS = (
             "::test_a_relation_with_more_axes_than_numpy_allows",
         ),
     ),
+    Mutant(
+        "command-route-drops-leftover-arguments",
+        "src/tensorlogic/cli.py",
+        "        if extra:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::TestArgvRoute",),
+    ),
+    Mutant(
+        "input-files-keep-the-byte-order-mark",
+        "src/tensorlogic/cli.py",
+        'open(path, encoding="utf-8-sig")',
+        'open(path, encoding="utf-8")',
+        ("tests/test_cli.py::TestExitCodeContract::test_files_with_a_byte_order_mark",),
+    ),
+    Mutant(
+        "input-files-keep-carriage-returns",
+        "src/tensorlogic/cli.py",
+        'open(path, encoding="utf-8-sig")',
+        'open(path, encoding="utf-8-sig", newline="")',
+        ("tests/test_cli.py::TestInputFiles::test_line_ends_read_as_newlines",),
+    ),
 )
 
 
