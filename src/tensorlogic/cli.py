@@ -21,6 +21,7 @@ Each command's own parser reads its arguments: ``main`` looks the first
 argument up among the commands and hands it the rest. The top-level parser
 handles only help, a missing or unknown command, an option before the
 command, and its usage errors, such as arguments a command leaves over.
+No command's parser takes an abbreviated flag, so ``--mod`` is a usage error.
 Model and formula files are read as UTF-8 with an optional byte order mark,
 and ``\\r\\n`` or ``\\r`` ends a line as ``\\n`` does.
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import ElementCapError, TensorLogicError
 from .evaluator import SweepConfig, compile_formula, equivalence_sweep, execute, oracle_eval
-from .dsl import MAX_DEPTH, And, Atom, Implies, Not, Or, parse_formula, parse_model
+from .dsl import BINARY, MAX_DEPTH, Atom, Not, parse_formula, parse_model
 from .model import Model, truth_bot, truth_top
 from .sets import build_set_predicate, convert_set_to_truth, convert_truth_to_set
 from .tensor import DEFAULT_ELEMENT_CAP
@@ -138,9 +139,9 @@ def _cmd_truth_table(args: argparse.Namespace) -> Outcome:
 
     if args.check:
         # One atom, where t holds and f does not: the oracle gives each row's
-        # classical value.
+        # classical value of the node, a binary connective's row or Not.
         model = Model.from_names(["x"], {"t": ["x"], "f": []})
-        node = {"not": Not, "and": And, "or": Or, "implies": Implies}[name]
+        node = {c.name: c for c in BINARY}.get(name, Not)
         for inputs, output in rows:
             leaves = (Atom("t" if x else "f", "x") for x in inputs)
             if oracle_eval(node(*leaves), model) != output:
@@ -289,9 +290,10 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    eval_parser = sub.add_parser(
-        "eval", help="evaluate one formula against a model file", allow_abbrev=False
-    )
+    # No command reads an abbreviated flag (see the module docstring).
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
+
+    eval_parser = add_parser("eval", help="evaluate one formula against a model file")
     eval_parser.add_argument("--model", required=True, help="path to a model file")
     source = eval_parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--formula", help="formula text")
@@ -300,21 +302,21 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     eval_parser.add_argument("--cap", type=element_cap, default=DEFAULT_ELEMENT_CAP)
     eval_parser.set_defaults(handler=_cmd_eval)
 
-    table_parser = sub.add_parser("truth-table", help="print a connective tensor and its table")
-    table_parser.add_argument("connective", choices=["not", "and", "or", "implies"])
+    table_parser = add_parser("truth-table", help="print a connective tensor and its table")
+    table_parser.add_argument("connective", choices=[c.value for c in Connective])
     table_parser.add_argument("--check", action="store_true",
                               help="re-verify rows against the set-theoretic oracle")
     table_parser.add_argument("--output", choices=["pretty", "records"], default="pretty")
     table_parser.set_defaults(handler=_cmd_truth_table)
 
-    show_parser = sub.add_parser("show", help="print the tensors for a declared symbol")
+    show_parser = add_parser("show", help="print the tensors for a declared symbol")
     show_parser.add_argument("--model", required=True)
     show_parser.add_argument("name")
     show_parser.add_argument("--output", choices=["pretty", "records"], default="pretty")
     show_parser.add_argument("--cap", type=element_cap, default=DEFAULT_ELEMENT_CAP)
     show_parser.set_defaults(handler=_cmd_show)
 
-    sweep_parser = sub.add_parser("sweep", help="run the tensor-versus-oracle equivalence sweep")
+    sweep_parser = add_parser("sweep", help="run the tensor-versus-oracle equivalence sweep")
     sweep_parser.add_argument("--seed", type=int, default=0)
     sweep_parser.add_argument("--max-domain", type=sweep_domain, default=3)
     sweep_parser.add_argument("--max-depth", type=sweep_depth, default=3)

@@ -21,6 +21,12 @@ other binaries left-associative::
     quantifier := 'all' setarg setarg | 'exists' setarg
     setarg     := predname | relname '(' (name ',')* '_' ')' | '(' implies ')'
 
+The productions of the binary connectives are not written out in the parser:
+each binary connective's symbol, precedence and grouping are written once, in
+its row of the table :data:`BINARY` (see :class:`_Binary`), and the parser's
+one precedence loop, the printer, the plans and the truth tensors all read
+the rows.
+
 Predicate and relation namespaces are disjoint, so the parser can tell a bare
 predicate name from a relation application in set position without lookahead.
 
@@ -129,21 +135,43 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
+class _Binary:
+    """A binary connective between two formulas; each subclass is one row of
+    the table of connectives.
+
+    A row is class attributes, not fields, so a node is ``And(left, right)``
+    and prints as such.  The row holds the connective's ``symbol`` in formula
+    text; its ``name``, which names its tensor, its load note and its
+    ``truth-table``; its ``precedence``, tighter binding higher; whether it
+    ``groups_right``, as ``->`` does, where the others group to the left;
+    and ``holds``, its classical truth function of (left, right).  The
+    parser and the printer read precedence and grouping here and nowhere
+    else, and :mod:`tensorlogic.truth` derives each connective tensor from
+    ``holds``.
+    """
+
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    symbol, name, precedence, groups_right = "&", "and", 3, False
+    holds = staticmethod(lambda left, right: left and right)
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    symbol, name, precedence, groups_right = "|", "or", 2, False
+    holds = staticmethod(lambda left, right: left or right)
+
+
+class Implies(_Binary):
+    symbol, name, precedence, groups_right = "->", "implies", 1, True
+    holds = staticmethod(lambda left, right: not left or right)
+
+
+#: The table of binary connectives, one row each, in the order that
+#: :class:`tensorlogic.truth.Connective` lists them.
+BINARY = (And, Or, Implies)
 
 
 @dataclass(frozen=True)
@@ -161,7 +189,7 @@ class Exists:
     body: "Formula"
 
 
-Formula = Atom | RelAtom | Not | And | Or | Implies | ForAll | Exists
+Formula = Atom | RelAtom | Not | _Binary | ForAll | Exists
 
 
 # Set-position shorthands: a set expression is an open formula over VAR.
@@ -496,8 +524,8 @@ def print_model(m: Model) -> str:
 #: bounds the recursion of parsing, compiling and the oracle alike.
 MAX_DEPTH = 100
 
-#: Each binary connective's precedence, tighter binding higher, and its node.
-_BINARY = {"&": (3, And), "|": (2, Or), "->": (1, Implies)}
+#: The binary connectives by symbol.
+_BY_SYMBOL = {c.symbol: c for c in BINARY}
 
 
 class _FormulaParser(_Tokens):
@@ -508,9 +536,10 @@ class _FormulaParser(_Tokens):
     ``p(a)`` has depth 0 and ``~(p(a) & p(a))`` depth 3.  A quantifier adds
     no level: ``~exists (p & q)`` has depth 3.  A depth above
     :data:`MAX_DEPTH` is a :class:`ParseError` at the token that crosses it.
-    The binary chains are loops, but ``~``, ``->`` and parentheses recurse,
-    so ``open`` counts those entered and the descent stops at the limit,
-    long before the interpreter's stack does; a parenthesis level costs
+    A chain of a connective that groups to the left is a loop, but ``~``,
+    one that groups to the right (``->``) and parentheses recurse, so
+    ``open`` counts those entered and the descent stops at the limit, long
+    before the interpreter's stack does; a parenthesis level costs
     three frames, :meth:`primary`, :meth:`expression` and :meth:`unary`.
 
     ``next`` may be a whole application, which :meth:`primary` takes as one
@@ -567,20 +596,18 @@ class _FormulaParser(_Tokens):
     # -- truth layer ------------------------------------------------------
 
     def expression(self, floor: int) -> tuple[Formula, int]:
-        """Unary operands joined by the binary connectives that bind at least
-        as tightly as ``floor``: ``&`` left-associative, then ``|``, then
-        ``->``, which groups to the right."""
+        """Unary operands joined by the binary connectives whose precedence
+        is at least ``floor``, each grouped as its row says."""
         node, depth = self.unary()
-        while (binary := _BINARY.get(self.next)) is not None and binary[0] >= floor:
-            precedence, node_type = binary
+        while (binary := _BY_SYMBOL.get(self.next)) is not None and binary.precedence >= floor:
             token = self.advance()
-            if node_type is Implies:
+            if binary.groups_right:
                 self.enter(token)
-                right, right_depth = self.expression(precedence)
+                right, right_depth = self.expression(binary.precedence)
                 self.open -= 1
             else:
-                right, right_depth = self.expression(precedence + 1)
-            node, depth = node_type(node, right), self.deeper(max(depth, right_depth), token)
+                right, right_depth = self.expression(binary.precedence + 1)
+            node, depth = binary(node, right), self.deeper(max(depth, right_depth), token)
         return node, depth
 
     def unary(self) -> tuple[Formula, int]:
@@ -727,9 +754,11 @@ def parse_formula(text: str, m: Model) -> Formula:
 # ---------------------------------------------------------------------------
 # Formula printing
 
-_PRECEDENCE = {Implies: 1, Or: 2, And: 3, Not: 4}
+#: Each node's precedence, tighter binding higher: a binary connective's is
+#: its row's, and any node not listed, an application or a quantifier, binds
+#: tightest.
+_PRECEDENCE = {**{c: c.precedence for c in BINARY}, Not: 4}
 _ATOM_PRECEDENCE = 5
-_SYMBOLS = {Implies: "->", Or: "|", And: "&"}
 
 
 def _precedence(f: Formula) -> int:
@@ -744,7 +773,7 @@ def _format_formula(f: Formula) -> str:
         return f.pred if f.arg is VAR else f"{f.pred}({f.arg})"
     if kind is RelAtom:
         return f"{f.rel}({', '.join('_' if a is VAR else a for a in f.args)})"
-    if kind is And or kind is Or or kind is Implies:
+    if kind in BINARY:
         return _format_binary(f, _format_formula(f.left), _format_formula(f.right))
     if kind is Not:
         body = f.body
@@ -765,18 +794,17 @@ def _format_operand(f: Formula) -> str:
     return text if isinstance(f, (Atom, RelAtom)) else f"({text})"
 
 
-def _format_binary(f: Formula, left_text: str, right_text: str) -> str:
-    """``&``, ``|`` or ``->`` between the printed operands of ``f``, with the
-    parentheses precedence needs.  ``->`` groups to the right and the others
-    to the left, so an operand of equal precedence on the other side is
-    parenthesized."""
-    prec = _PRECEDENCE[type(f)]
-    left_min, right_min = (prec + 1, prec) if isinstance(f, Implies) else (prec, prec + 1)
+def _format_binary(f: _Binary, left_text: str, right_text: str) -> str:
+    """The symbol of ``f`` between its printed operands, with the parentheses
+    its row's precedence and grouping need: an operand of equal precedence
+    on the side ``f`` does not group to is parenthesized."""
+    prec = f.precedence
+    left_min, right_min = (prec + 1, prec) if f.groups_right else (prec, prec + 1)
     if _precedence(f.left) < left_min:
         left_text = f"({left_text})"
     if _precedence(f.right) < right_min:
         right_text = f"({right_text})"
-    return f"{left_text} {_SYMBOLS[type(f)]} {right_text}"
+    return f"{left_text} {f.symbol} {right_text}"
 
 
 def print_formula(f: Formula) -> str:

@@ -127,8 +127,8 @@ def _constant_load(note: str, tensor: Tensor) -> tuple:
 #: The constant loads of a plan: the connective tensor of each binary
 #: connective node, the negation tensor ...
 _CONNECTIVES = {
-    node: _constant_load(f"conn:{kind}", connective_tensor(kind).tensor)
-    for kind, node in [("and", dsl.And), ("or", dsl.Or), ("implies", dsl.Implies)]
+    node: _constant_load(f"conn:{node.name}", connective_tensor(node.name).tensor)
+    for node in dsl.BINARY
 }
 _NOT = _constant_load("conn:not", connective_tensor("not").tensor)
 #: ... and the probe that reads a quantifier operand's true row.
@@ -211,11 +211,11 @@ class _PlanBuilder:
             note = f"rel:{rel}({','.join(bound + ('_',))})"
             reg = self.load(note, 2 * self.n, relation_slice, self.model, rel, bound)
             return self.apply(reg, args[-1])
-        if kind is dsl.And or kind is dsl.Or or kind is dsl.Implies:
+        if (connective := _CONNECTIVES.get(kind)) is not None:
             a, b = self.lower_formula(f.left), self.lower_formula(f.right)
             shape = self.shapes[a]
             self.expect(b, shape, "right operand of a connective")
-            return self.emit("columnwise", (self.load(*_CONNECTIVES[kind]), a, b), shape)
+            return self.emit("columnwise", (self.load(*connective), a, b), shape)
         if kind is dsl.Not:
             b = self.lower_formula(f.body)
             return self.emit("contract", (self.load(*_NOT), b), self.shapes[b])
@@ -335,7 +335,10 @@ def _oracle_truth(f: dsl.Formula, m: Model, x: int | None) -> bool:
     """Whether ``f`` holds with ``VAR`` assigned atom index ``x``.
 
     A connective evaluates both operands, so ``VAR`` outside every
-    quantifier is refused wherever it sits.
+    quantifier is refused wherever it sits.  Its connective branches are
+    written out rather than read from the rows of :data:`dsl.BINARY`, from
+    which the connective tensors are derived, so that the referee and the
+    tensors share no source of error.
     """
     kind = type(f)
     if kind is dsl.Atom:

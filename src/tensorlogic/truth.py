@@ -23,8 +23,15 @@ each column is a truth basis vector by construction.
 Connectives are constant tensors over the truth space: negation is the 2 x 2
 swap matrix, and each binary connective is a 2 x 2 x 2 tensor whose last index
 is contracted first and thereby selects a 2 x 2 block with the connective's
-left argument.  Every block column sums to 1, which makes all connectives
-preserve normalized probabilistic truth vectors, not just crisp ones.
+left argument.  A binary tensor is derived from its connective's row of the
+table :data:`tensorlogic.dsl.BINARY`, not written out: with truth index 0 for
+true and 1 for false, C[a, b, c] is 1 exactly when a is the truth index of
+the row's ``holds(left, right)`` at left = (c is true) and right = (b is
+true), and 0 otherwise, so that ``columnwise``'s ``abc,c...,b...->a...``
+reads the left operand at c.  Each block column is therefore one truth basis
+vector and sums to 1, which makes all connectives preserve normalized
+probabilistic truth vectors, not just crisp ones.  :class:`Connective` lists
+negation and then the rows, by name, in the table's order.
 """
 
 from __future__ import annotations
@@ -32,9 +39,11 @@ from __future__ import annotations
 import enum
 from dataclasses import InitVar, dataclass
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
+from .dsl import BINARY
 from .errors import (
     ArityError,
     DimensionMismatchError,
@@ -114,11 +123,10 @@ class RelationTensor:
         return self.tensor.shape[1]
 
 
-class Connective(enum.Enum):
-    NOT = "not"
-    AND = "and"
-    OR = "or"
-    IMPLIES = "implies"
+#: Negation, then each binary connective of the table, by its row's name.
+Connective = enum.Enum(
+    "Connective", [("NOT", "not")] + [(c.name.upper(), c.name) for c in BINARY], module=__name__
+)
 
 
 @dataclass(frozen=True)
@@ -142,28 +150,19 @@ class ConnectiveTensor:
             raise InvalidPredicateError("connective tensor columns must each sum to 1")
 
 
-def _binary_blocks(block_true: list[list[float]], block_false: list[list[float]]) -> Tensor:
-    # Last index selects the block, so contracting with the first argument
-    # ([1,0] or [0,1]) picks the matrix applied to the second argument.
-    return Tensor(np.stack([np.array(block_true), np.array(block_false)], axis=-1))
+def _binary_tensor(holds: Callable[[bool, bool], bool]) -> Tensor:
+    """C[a, b, c] = 1 exactly when a is the truth index of
+    ``holds(c is true, b is true)``: truth index 0 is true, and the last
+    index is the left operand."""
+    true_row = np.array([[holds(c == 0, b == 0) for c in (0, 1)] for b in (0, 1)], float)
+    return Tensor(np.stack([true_row, 1.0 - true_row]))
 
 
 NEGATION = ConnectiveTensor(Connective.NOT, Tensor([[0.0, 1.0], [1.0, 0.0]]))
-CONJUNCTION = ConnectiveTensor(
-    Connective.AND, _binary_blocks([[1, 0], [0, 1]], [[0, 0], [1, 1]])
-)
-DISJUNCTION = ConnectiveTensor(
-    Connective.OR, _binary_blocks([[1, 1], [0, 0]], [[1, 0], [0, 1]])
-)
-IMPLICATION = ConnectiveTensor(
-    Connective.IMPLIES, _binary_blocks([[1, 0], [0, 1]], [[1, 1], [0, 0]])
-)
 
-CONNECTIVES: dict[Connective, ConnectiveTensor] = {
-    Connective.NOT: NEGATION,
-    Connective.AND: CONJUNCTION,
-    Connective.OR: DISJUNCTION,
-    Connective.IMPLIES: IMPLICATION,
+CONNECTIVES: dict[Connective, ConnectiveTensor] = {Connective.NOT: NEGATION} | {
+    Connective(c.name): ConnectiveTensor(Connective(c.name), _binary_tensor(c.holds))
+    for c in BINARY
 }
 
 

@@ -15,7 +15,7 @@ from tensorlogic.cli import main
 from tensorlogic.dsl import MAX_DEPTH
 from tensorlogic.model import truth_top
 from tensorlogic.tensor import DEFAULT_ELEMENT_CAP, Tensor
-from tensorlogic.truth import PredicateMatrix
+from tensorlogic.truth import Connective, PredicateMatrix
 from tests.conftest import BROWN_DOG_TEXT, LOVES_TEXT, MATHEMATICIAN_TEXT
 from tests.helpers import DEEP_SHAPES, ONE_ATOM_TEXT, patch_sweep_tensor_path
 
@@ -150,6 +150,16 @@ class TestTruthTableCommand:
         assert rows == {
             ("T", "T"): "T", ("T", "F"): "T", ("F", "T"): "T", ("F", "F"): "F",
         }
+
+    def test_choices_are_the_connectives_in_table_order(self):
+        actions = cli._parsers()[1]["truth-table"]._actions
+        (action,) = [a for a in actions if a.dest == "connective"]
+        assert action.choices == [c.value for c in Connective] == ["not", "and", "or", "implies"]
+        code, out, err = run_main(["truth-table", "xor"])
+        assert (code, out) == (2, "")
+        message = err.splitlines()[-1]
+        positions = [message.index(repr(name)) for name in action.choices]
+        assert positions == sorted(positions), message
 
     def test_self_check_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "connective_binary", lambda name, a, b: truth_top())
@@ -384,6 +394,16 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def abbreviated_flags(model):
+    """Argvs that abbreviate a flag, one per command besides ``eval``, each a
+    usage error."""
+    return [
+        ["show", "--mod", model, "mathematician"],
+        ["truth-table", "and", "--che"],
+        ["sweep", "--coun", "5"],
+    ]
+
+
 class TestArgvRoute:
     """An argv that starts with a command name goes straight to that
     command's parser; every outcome must be the top-level parser's own."""
@@ -413,6 +433,7 @@ class TestArgvRoute:
             ["truth-table", "implies", "--output", "records"],
             ["sweep", "--max-domain", "171"], ["sweep", "--max-depth", "99"],
             ["sweep", "--count", "5", "--output", "records"],
+            *abbreviated_flags(model),
         ]
 
     def test_every_outcome_is_the_top_level_parsers(self, files, monkeypatch):
@@ -456,6 +477,9 @@ class TestArgvRoute:
         # errors and help, which exit before it.
         assert sum(bool(r[3]) for r in routed) == 8
         assert {r[0] for r in routed} == {0, 1, 2}
+        # No command reads an abbreviated flag.
+        abbreviated = abbreviated_flags(str(files / "m.model"))
+        assert [r[0] for r in routed[-len(abbreviated):]] == [2] * len(abbreviated)
 
 
 def assert_contract(argv):

@@ -10,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+from tensorlogic.dsl import BINARY
 from tensorlogic.errors import (
     ArityError,
     DimensionMismatchError,
@@ -264,11 +265,43 @@ class TestConnectiveTensors:
 
 
 TOP, BOT = truth_top(), truth_bot()
+#: Each binary connective's classical table, (left, right) -> value, written out.
 CLASSICAL = {
     "and": {(1, 1): 1, (1, 0): 0, (0, 1): 0, (0, 0): 0},
     "or": {(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 0},
     "implies": {(1, 1): 1, (1, 0): 0, (0, 1): 1, (0, 0): 1},
 }
+#: Each binary tensor's two 2 x 2 blocks as they were written out before the
+#: tensors were derived from the table: left operand true, then false.
+BLOCKS = {
+    "and": ([[1, 0], [0, 1]], [[0, 0], [1, 1]]),
+    "or": ([[1, 1], [0, 0]], [[1, 0], [0, 1]]),
+    "implies": ([[1, 0], [0, 1]], [[1, 1], [0, 0]]),
+}
+
+
+class TestConnectiveTable:
+    """The rows of ``dsl.BINARY`` and what is derived from them."""
+
+    def test_members_keep_their_order(self):
+        assert [c.value for c in Connective] == ["not", "and", "or", "implies"]
+        assert [c.name for c in Connective] == ["NOT", "AND", "OR", "IMPLIES"]
+        assert list(CONNECTIVES) == list(Connective)
+        assert Connective.__module__ == "tensorlogic.truth"
+        assert [row.name for row in BINARY] == list(CLASSICAL)
+
+    @pytest.mark.parametrize("name", list(CLASSICAL))
+    def test_each_row_holds_its_classical_table(self, name):
+        (row,) = [row for row in BINARY if row.name == name]
+        for (left, right), expected in CLASSICAL[name].items():
+            assert row.holds(bool(left), bool(right)) is bool(expected), (name, left, right)
+
+    @pytest.mark.parametrize("name", list(BLOCKS))
+    def test_derived_tensor_is_the_written_out_blocks(self, name):
+        arr = connective_tensor(name).tensor.array
+        blocks = np.stack([np.array(block, np.float64) for block in BLOCKS[name]], axis=-1)
+        assert arr.dtype == blocks.dtype and arr.shape == blocks.shape
+        assert arr.tobytes() == blocks.tobytes()
 
 
 class TestConnectiveEvaluation:

@@ -78,10 +78,17 @@ MUTANTS = (
     ),
     Mutant(
         "or-tensor-loaded-for-and",
-        "src/tensorlogic/evaluator.py",
-        '("and", dsl.And)',
-        '("or", dsl.And)',
+        "src/tensorlogic/dsl.py",
+        "holds = staticmethod(lambda left, right: left and right)",
+        "holds = staticmethod(lambda left, right: left or right)",
         ("tests/test_evaluator.py",),
+    ),
+    Mutant(
+        "connective-tensor-operands-swapped",
+        "src/tensorlogic/truth.py",
+        "holds(c == 0, b == 0)",
+        "holds(b == 0, c == 0)",
+        ("tests/test_truth.py", "tests/test_evaluator.py::TestEquivalenceSweep"),
     ),
     Mutant(
         "subset-decided-with-greater-or-equal",
@@ -262,9 +269,22 @@ MUTANTS = (
     Mutant(
         "or-binds-tighter-than-and",
         "src/tensorlogic/dsl.py",
-        '_BINARY = {"&": (3, And), "|": (2, Or),',
-        '_BINARY = {"&": (2, And), "|": (3, Or),',
+        '"&", "and", 3, False\n'
+        "    holds = staticmethod(lambda left, right: left and right)\n\n\n"
+        "class Or(_Binary):\n"
+        '    symbol, name, precedence, groups_right = "|", "or", 2,',
+        '"&", "and", 2, False\n'
+        "    holds = staticmethod(lambda left, right: left and right)\n\n\n"
+        "class Or(_Binary):\n"
+        '    symbol, name, precedence, groups_right = "|", "or", 3,',
         ("tests/test_dsl.py", "tests/test_grammar.py"),
+    ),
+    Mutant(
+        "implies-groups-left",
+        "src/tensorlogic/dsl.py",
+        '"->", "implies", 1, True',
+        '"->", "implies", 1, False',
+        ("tests/test_dsl.py",),
     ),
     Mutant(
         "model-pattern-keeps-comments",
