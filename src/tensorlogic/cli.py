@@ -64,9 +64,14 @@ _LETTERS = {True: "T", False: "F"}
 Outcome = tuple[int, list[str], str | None]
 
 
+#: The one encoder of records lines: ``json.dumps`` builds a new encoder on
+#: every call that asks to sort keys.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _record(command: str, **fields: object) -> str:
     """One records line: a JSON object naming its command, keys sorted."""
-    return json.dumps({"command": command, **fields}, sort_keys=True)
+    return _RECORD_ENCODER.encode({"command": command, **fields})
 
 
 def _format_number(x: float) -> str:

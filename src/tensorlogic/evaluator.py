@@ -19,7 +19,10 @@ contraction, so ``greek`` is the ``pred:`` matrix that ``greek(a)`` loads
 binary connective is one ``columnwise`` step with its connective tensor:
 out[a, ...] = sum_bc C[a, b, c] L[c, ...] R[b, ...], where a closed
 formula's (2,) truth vector is a single column; its operands must have one
-shape, and a quantifier operand must be (2, n).  Each quantifier operand's
+shape, and a quantifier operand must be (2, n).  The left operand's rank
+picks the step's one kernel: between (2,) truth vectors it is
+``connective_binary``'s two contractions, ``C.dot(L).dot(R)``, and between
+(2, n) matrices it is one einsum over the columns.  Each quantifier operand's
 true row is read once, so ``forall`` and ``exists`` are a plan's only
 non-linear steps.
 
@@ -257,10 +260,12 @@ def execute(plan: ContractionPlan) -> TruthVec:
     """Run a plan's steps over a register file and return the truth vector.
 
     Registers hold plain ndarrays: the payloads' own read-only arrays, the
-    fresh outputs of ``columnwise`` (one einsum for every binary connective)
-    and of ``contract`` (``ndarray.dot``, since a compiled plan contracts
-    only operands of rank at most 2 and not both of rank 1), and a
-    quantifier's read-only verdict.  Shapes were checked at compile time; a
+    fresh outputs of ``columnwise`` (two ``ndarray.dot`` calls on (2,) truth
+    vectors, C's last index with the left operand and then the next with the
+    right, and one einsum on (2, n) matrices) and of ``contract``
+    (``ndarray.dot``, since a compiled plan contracts only operands of rank
+    at most 2 and not both of rank 1), and a quantifier's read-only
+    verdict.  Shapes were checked at compile time; a
     quantifier still checks that its operands are characteristic vectors,
     and decides on the bool bits of that check.  The result
     register's shape is ``(2,)``, so the verdict is read straight off its
@@ -279,7 +284,11 @@ def execute(plan: ContractionPlan) -> TruthVec:
                 value = registers[a].dot(registers[b])
             case "columnwise":
                 c, a, b = srcs
-                value = np.einsum("abc,c...,b...->a...", registers[c], registers[a], registers[b])
+                left = registers[a]
+                if left.ndim == 1:
+                    value = registers[c].dot(left).dot(registers[b])
+                else:
+                    value = np.einsum("abc,c...,b...->a...", registers[c], left, registers[b])
             case "forall":
                 a, b = srcs
                 x, y = _operands("forall", _set_bits(registers[a]), _set_bits(registers[b]))

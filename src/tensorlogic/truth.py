@@ -27,10 +27,14 @@ left argument.  A binary tensor is derived from its connective's row of the
 table :data:`tensorlogic.dsl.BINARY`, not written out: with truth index 0 for
 true and 1 for false, C[a, b, c] is 1 exactly when a is the truth index of
 the row's ``holds(left, right)`` at left = (c is true) and right = (b is
-true), and 0 otherwise, so that ``columnwise``'s ``abc,c...,b...->a...``
-reads the left operand at c.  Each block column is therefore one truth basis
+true), and 0 otherwise, so that the first contraction, in
+:func:`connective_binary` and in a plan's ``columnwise`` step alike, reads
+the left operand at c.  Each block column is therefore one truth basis
 vector and sums to 1, which makes all connectives preserve normalized
-probabilistic truth vectors, not just crisp ones.  :class:`Connective` lists
+probabilistic truth vectors, not just crisp ones.  On (2,) truth vectors a
+``columnwise`` step is those same two contractions,
+``C.dot(left).dot(right)``; on (2, n) matrices it is the einsum
+``abc,c...,b...->a...`` over their columns.  :class:`Connective` lists
 negation and then the rows, by name, in the table's order.
 """
 

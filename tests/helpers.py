@@ -48,14 +48,22 @@ def quantifier_plan(op, srcs, x: Tensor, y: Tensor) -> ContractionPlan:
     return ContractionPlan(steps, 2, (x.shape, y.shape, (2,)))
 
 
-def assert_contractions_are_plain_dot(plan: ContractionPlan) -> None:
-    """Every ``contract`` step of ``plan`` pairs operands of rank at most 2,
-    not both of rank 1: the branch of ``tensor._contract_arrays`` that is
-    ``left.dot(right)`` as it stands, the product ``execute`` computes."""
+def assert_contractions_are_plain_dot(plan: ContractionPlan, n: int) -> None:
+    """Every ``contract`` step of ``plan``, a plan over a domain of size
+    ``n``, pairs operands of rank at most 2, not both of rank 1: the branch
+    of ``tensor._contract_arrays`` that is ``left.dot(right)`` as it stands,
+    the product ``execute`` computes.  Every ``columnwise`` step's two
+    operands are both ``(2,)``, which ``execute`` contracts with the
+    connective tensor by two ``ndarray.dot`` calls, or both ``(2, n)``,
+    which it combines by one einsum: the left operand's rank picks the
+    kernel."""
     for op, _, srcs, _, _ in plan.steps:
+        shapes = [plan.register_shapes[s] for s in srcs]
         if op == "contract":
-            ranks = [len(plan.register_shapes[s]) for s in srcs]
+            ranks = [len(shape) for shape in shapes]
             assert max(ranks) <= 2 and ranks != [1, 1], plan.describe()
+        elif op == "columnwise":
+            assert shapes[1:] in ([(2,), (2,)], [(2, n), (2, n)]), plan.describe()
 
 
 def formulas_up_to_depth(depth, leaves):

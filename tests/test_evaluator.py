@@ -336,7 +336,7 @@ class TestEquivalenceSweep:
         for _ in range(2000):
             m = random_model(rng, max_domain=5)
             f = random_formula(rng, m, max_depth=3)
-            assert_contractions_are_plain_dot(compile_formula(f, m))
+            assert_contractions_are_plain_dot(compile_formula(f, m), m.domain_size)
 
     def test_sweep_agrees(self):
         report = equivalence_sweep(SweepConfig(max_domain=4, max_depth=3, seed=7, count=500))

@@ -120,4 +120,5 @@ def test_drawn_formulas_round_trip_and_agree_with_the_oracle(model_path, data):
 @given(data=st.data())
 def test_drawn_plans_contract_only_rank_two_pairs(data):
     m = data.draw(models(), label="model")
-    assert_contractions_are_plain_dot(compile_formula(data.draw(formulas(m), label="formula"), m))
+    plan = compile_formula(data.draw(formulas(m), label="formula"), m)
+    assert_contractions_are_plain_dot(plan, m.domain_size)

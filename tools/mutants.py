@@ -204,6 +204,16 @@ MUTANTS = (
         ("tests/test_model.py::test_zero_one_check_matches_the_reference_through_every_caller",),
     ),
     Mutant(
+        "closed-connective-operands-swapped",
+        "src/tensorlogic/evaluator.py",
+        "registers[c].dot(left).dot(registers[b])",
+        "registers[c].dot(registers[b]).dot(left)",
+        (
+            "tests/test_plan_memo.py::test_columnwise_is_the_connective_at_every_column",
+            "tests/test_evaluator.py",
+        ),
+    ),
+    Mutant(
         "crisp-argument-contracted-raw",
         "src/tensorlogic/truth.py",
         "return Tensor._wrap(bits.astype(np.float64)), False",
