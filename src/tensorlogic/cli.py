@@ -35,26 +35,21 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ElementCapError, TensorLogicError
-from .evaluator import SweepConfig, compile_formula, equivalence_sweep, execute, oracle_eval
-from .dsl import BINARY, MAX_DEPTH, Atom, Not, parse_formula, parse_model
-from .model import Model, truth_bot, truth_top
-from .sets import build_set_predicate, convert_set_to_truth, convert_truth_to_set
-from .tensor import DEFAULT_ELEMENT_CAP
-from .truth import (
-    Connective,
-    build_predicate,
-    build_relation,
-    connective_binary,
-    connective_not,
-    connective_tensor,
+from .evaluator import (
+    RECORD_ENCODER, SweepConfig, compile_formula, equivalence_sweep, execute, oracle_eval
 )
+from .dsl import MAX_DEPTH, Atom, parse_formula, parse_model
+from .model import Model, TruthVec, truth_bot, truth_top
+from .sets import build_set_predicate, convert_set_to_truth, convert_truth_to_set
+from .tensor import DEFAULT_ELEMENT_CAP, contract
+from .truth import ROWS, Connective, build_predicate, build_relation, connective_tensor
 
 _GLYPHS = {True: "⊤", False: "⊥"}
 _LETTERS = {True: "T", False: "F"}
@@ -64,14 +59,9 @@ _LETTERS = {True: "T", False: "F"}
 Outcome = tuple[int, list[str], str | None]
 
 
-#: The one encoder of records lines: ``json.dumps`` builds a new encoder on
-#: every call that asks to sort keys.
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
 def _record(command: str, **fields: object) -> str:
     """One records line: a JSON object naming its command, keys sorted."""
-    return _RECORD_ENCODER.encode({"command": command, **fields})
+    return RECORD_ENCODER.encode({"command": command, **fields})
 
 
 def _format_number(x: float) -> str:
@@ -132,21 +122,19 @@ def _cmd_eval(args: argparse.Namespace) -> Outcome:
 def _cmd_truth_table(args: argparse.Namespace) -> Outcome:
     name = args.connective
     conn = connective_tensor(name)
-    vec = {True: truth_top(), False: truth_bot()}
-    rows: list[tuple[tuple[bool, ...], bool]] = []
-    if conn.kind is Connective.NOT:
-        for a in (True, False):
-            rows.append(((a,), connective_not(vec[a]).as_bool()))
-    else:
-        for a in (True, False):
-            for b in (True, False):
-                rows.append(((a, b), connective_binary(name, vec[a], vec[b]).as_bool()))
+    vec = {True: truth_top().to_tensor(), False: truth_bot().to_tensor()}
+    # One row per assignment of the operands: the tensor contracted with
+    # each operand's truth vector in turn, first operand first.
+    rows = []
+    for inputs in product((True, False), repeat=conn.tensor.rank - 1):
+        out = functools.reduce(contract, map(vec.get, inputs), conn.tensor)
+        rows.append((inputs, TruthVec.from_tensor(out).as_bool()))
 
     if args.check:
         # One atom, where t holds and f does not: the oracle gives each row's
-        # classical value of the node, a binary connective's row or Not.
+        # classical value of the connective's node.
         model = Model.from_names(["x"], {"t": ["x"], "f": []})
-        node = {c.name: c for c in BINARY}.get(name, Not)
+        node = ROWS[conn.kind]
         for inputs, output in rows:
             leaves = (Atom("t" if x else "f", "x") for x in inputs)
             if oracle_eval(node(*leaves), model) != output:
@@ -227,7 +215,8 @@ def _cmd_sweep(args: argparse.Namespace) -> Outcome:
         max_domain=args.max_domain, max_depth=args.max_depth, seed=args.seed, count=args.count
     )
     report = equivalence_sweep(config, artifact_dir=args.artifacts)
-    records = report.to_lines()
+    # Records are encoded only for a report or for records output.
+    records = report.to_lines() if args.report or args.output == "records" else []
     if args.report:
         Path(args.report).write_text("\n".join(records) + "\n", encoding="utf-8")
     lines = records if args.output == "records" else []

@@ -21,11 +21,12 @@ other binaries left-associative::
     quantifier := 'all' setarg setarg | 'exists' setarg
     setarg     := predname | relname '(' (name ',')* '_' ')' | '(' implies ')'
 
-The productions of the binary connectives are not written out in the parser:
-each binary connective's symbol, precedence and grouping are written once, in
-its row of the table :data:`BINARY` (see :class:`_Binary`), and the parser's
-one precedence loop, the printer, the plans and the truth tensors all read
-the rows.
+The productions of the connectives are not written out in the parser: each
+connective's symbol, precedence and truth function are written once, in its
+row of the table :data:`TABLE`, whose rows are negation, the one unary row
+(:class:`Not`), and the binary rows of :data:`BINARY` (see :class:`_Binary`).
+The parser's one precedence loop, the printer, the plans and the truth
+tensors all read the rows.
 
 Predicate and relation namespaces are disjoint, so the parser can tell a bare
 predicate name from a relation application in set position without lookahead.
@@ -131,7 +132,18 @@ class RelAtom:
 
 @dataclass(frozen=True)
 class Not:
+    """Negation of a formula: the table's one unary row.
+
+    As in a binary row (see :class:`_Binary`), the row is class attributes,
+    not fields, so a node is ``Not(body)``: its ``symbol``, ``name`` and
+    ``precedence``, which binds tighter than any binary connective's, and
+    ``holds``, its classical truth function of its operand.
+    """
+
     body: "Formula"
+
+    symbol, name, precedence = "~", "not", 4
+    holds = staticmethod(lambda body: not body)
 
 
 @dataclass(frozen=True)
@@ -169,9 +181,13 @@ class Implies(_Binary):
     holds = staticmethod(lambda left, right: not left or right)
 
 
-#: The table of binary connectives, one row each, in the order that
-#: :class:`tensorlogic.truth.Connective` lists them.
+#: The binary connectives, one row each.
 BINARY = (And, Or, Implies)
+
+#: The table of connectives, one row each, negation first, in the order that
+#: :class:`tensorlogic.truth.Connective` lists them.  A row's arity is the
+#: number of fields of its node.
+TABLE = (Not, *BINARY)
 
 
 @dataclass(frozen=True)
@@ -611,7 +627,7 @@ class _FormulaParser(_Tokens):
         return node, depth
 
     def unary(self) -> tuple[Formula, int]:
-        if self.next != "~":
+        if self.next != Not.symbol:
             return self.primary()
         token = self.advance()
         self.enter(token)
@@ -754,10 +770,10 @@ def parse_formula(text: str, m: Model) -> Formula:
 # ---------------------------------------------------------------------------
 # Formula printing
 
-#: Each node's precedence, tighter binding higher: a binary connective's is
-#: its row's, and any node not listed, an application or a quantifier, binds
+#: Each node's precedence, tighter binding higher: a connective's is its
+#: row's, and any node not listed, an application or a quantifier, binds
 #: tightest.
-_PRECEDENCE = {**{c: c.precedence for c in BINARY}, Not: 4}
+_PRECEDENCE = {row: row.precedence for row in TABLE}
 _ATOM_PRECEDENCE = 5
 
 
@@ -778,9 +794,9 @@ def _format_formula(f: Formula) -> str:
     if kind is Not:
         body = f.body
         inner = _format_formula(body)
-        if _precedence(body) < _PRECEDENCE[Not]:
+        if _precedence(body) < Not.precedence:
             inner = f"({inner})"
-        return f"~{inner}"
+        return f"{Not.symbol}{inner}"
     if kind is ForAll:
         return f"all {_format_operand(f.subset)} {_format_operand(f.superset)}"
     if kind is Exists:

@@ -388,6 +388,11 @@ class SweepConfig:
     count: int = 1000
 
 
+#: The one encoder of records lines, a sweep's and every command's:
+#: ``json.dumps`` builds a new encoder on every call that asks to sort keys.
+RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 @dataclass(frozen=True)
 class OracleVerdict:
     """Both verdicts for one instance; ``agree`` ties them together.
@@ -417,7 +422,7 @@ class OracleVerdict:
         else:
             record["error"] = type(self.error).__name__
             record["message"] = str(self.error)
-        return json.dumps(record, sort_keys=True)
+        return RECORD_ENCODER.encode(record)
 
 
 @dataclass(frozen=True)

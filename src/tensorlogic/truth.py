@@ -20,34 +20,34 @@ which :func:`build_predicate` wraps as a typed matrix.  One fill builds every
 truth tensor, dense or sliced: the false row is one minus the true row, so
 each column is a truth basis vector by construction.
 
-Connectives are constant tensors over the truth space: negation is the 2 x 2
-swap matrix, and each binary connective is a 2 x 2 x 2 tensor whose last index
-is contracted first and thereby selects a 2 x 2 block with the connective's
-left argument.  A binary tensor is derived from its connective's row of the
-table :data:`tensorlogic.dsl.BINARY`, not written out: with truth index 0 for
-true and 1 for false, C[a, b, c] is 1 exactly when a is the truth index of
-the row's ``holds(left, right)`` at left = (c is true) and right = (b is
-true), and 0 otherwise, so that the first contraction, in
-:func:`connective_binary` and in a plan's ``columnwise`` step alike, reads
-the left operand at c.  Each block column is therefore one truth basis
-vector and sums to 1, which makes all connectives preserve normalized
-probabilistic truth vectors, not just crisp ones.  On (2,) truth vectors a
-``columnwise`` step is those same two contractions,
-``C.dot(left).dot(right)``; on (2, n) matrices it is the einsum
-``abc,c...,b...->a...`` over their columns.  :class:`Connective` lists
-negation and then the rows, by name, in the table's order.
+Connectives are constant tensors over the truth space, one axis of size 2
+per operand after the output's: negation, the table's unary row, is the 2 x 2
+swap matrix, and each binary connective is a 2 x 2 x 2 tensor whose last
+index is contracted first and thereby selects a 2 x 2 block with the
+connective's left argument.  Every tensor is derived from its connective's
+row of the table :data:`tensorlogic.dsl.TABLE` by one builder, not written
+out: with truth index 0 for true and 1 for false, C[a, i_k, ..., i_1] is 1
+exactly when a is the truth index of the row's ``holds`` at operands
+(i_1 is true, ..., i_k is true), and 0 otherwise.  So the last index is the
+first operand, and the first contraction, in :func:`connective_binary` and
+in a plan's ``columnwise`` step alike, reads the left operand at it.  Each
+column is therefore one truth basis vector and sums to 1, which makes all
+connectives preserve normalized probabilistic truth vectors, not just crisp
+ones.  On (2,) truth vectors a ``columnwise`` step is those same two
+contractions, ``C.dot(left).dot(right)``; on (2, n) matrices it is the
+einsum ``abc,c...,b...->a...`` over their columns.  :class:`Connective`
+lists the rows by name, in the table's order.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields
 from itertools import chain
-from typing import Callable
 
 import numpy as np
 
-from .dsl import BINARY
+from .dsl import TABLE
 from .errors import (
     ArityError,
     DimensionMismatchError,
@@ -127,10 +127,19 @@ class RelationTensor:
         return self.tensor.shape[1]
 
 
-#: Negation, then each binary connective of the table, by its row's name.
+#: Each connective of the table, by its row's name, in the table's order.
 Connective = enum.Enum(
-    "Connective", [("NOT", "not")] + [(c.name.upper(), c.name) for c in BINARY], module=__name__
+    "Connective", [(row.name.upper(), row.name) for row in TABLE], module=__name__
 )
+
+#: The row of the table behind each connective.
+ROWS = dict(zip(Connective, TABLE))
+
+
+def _shape(kind: Connective) -> tuple[int, ...]:
+    """A connective tensor's shape: one truth axis for the output and one
+    per operand, a field of the row's node."""
+    return (2,) * (len(fields(ROWS[kind])) + 1)
 
 
 @dataclass(frozen=True)
@@ -141,33 +150,30 @@ class ConnectiveTensor:
     tensor: Tensor
 
     def __post_init__(self):
-        arr = self.tensor.array
-        if self.kind is Connective.NOT:
-            if self.tensor.shape != (2, 2):
-                raise InvalidPredicateError("negation tensor must have shape (2, 2)")
-            columns = arr
-        else:
-            if self.tensor.shape != (2, 2, 2):
-                raise InvalidPredicateError("binary connective tensors must have shape (2, 2, 2)")
-            columns = arr.reshape(2, 4)
-        if not np.all(columns.sum(axis=0) == 1.0):
+        shape = _shape(self.kind)
+        if self.tensor.shape != shape:
+            raise InvalidPredicateError(f"the {self.kind.value} tensor must have shape {shape}")
+        if not np.all(self.tensor.array.reshape(2, -1).sum(axis=0) == 1.0):
             raise InvalidPredicateError("connective tensor columns must each sum to 1")
 
 
-def _binary_tensor(holds: Callable[[bool, bool], bool]) -> Tensor:
-    """C[a, b, c] = 1 exactly when a is the truth index of
-    ``holds(c is true, b is true)``: truth index 0 is true, and the last
-    index is the left operand."""
-    true_row = np.array([[holds(c == 0, b == 0) for c in (0, 1)] for b in (0, 1)], float)
-    return Tensor(np.stack([true_row, 1.0 - true_row]))
+def _build_connective(kind: Connective) -> ConnectiveTensor:
+    """C[a, i_k, ..., i_1] = 1 exactly when a is the truth index of the row's
+    ``holds(i_1 is true, ..., i_k is true)``: truth index 0 is true, and the
+    last index is the first operand."""
+    shape, holds = _shape(kind), ROWS[kind].holds
+    true_row = np.array(
+        [holds(*(i == 0 for i in reversed(index))) for index in np.ndindex(shape[1:])], float
+    ).reshape(shape[1:])
+    return ConnectiveTensor(kind, Tensor(np.stack([true_row, 1.0 - true_row])))
 
 
-NEGATION = ConnectiveTensor(Connective.NOT, Tensor([[0.0, 1.0], [1.0, 0.0]]))
-
-CONNECTIVES: dict[Connective, ConnectiveTensor] = {Connective.NOT: NEGATION} | {
-    Connective(c.name): ConnectiveTensor(Connective(c.name), _binary_tensor(c.holds))
-    for c in BINARY
+CONNECTIVES: dict[Connective, ConnectiveTensor] = {
+    kind: _build_connective(kind) for kind in Connective
 }
+
+#: Negation's tensor, the swap matrix.
+NEGATION = CONNECTIVES[Connective.NOT]
 
 
 def connective_tensor(kind: Connective | str) -> ConnectiveTensor:

@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 import tensorlogic.cli as cli
 from tensorlogic.cli import main
 from tensorlogic.dsl import MAX_DEPTH
-from tensorlogic.model import truth_top
 from tensorlogic.tensor import DEFAULT_ELEMENT_CAP, Tensor
-from tensorlogic.truth import Connective, PredicateMatrix
+from tensorlogic.truth import CONNECTIVES, Connective, ConnectiveTensor, PredicateMatrix
 from tests.conftest import BROWN_DOG_TEXT, LOVES_TEXT, MATHEMATICIAN_TEXT
 from tests.helpers import DEEP_SHAPES, ONE_ATOM_TEXT, patch_sweep_tensor_path
 
@@ -115,7 +114,89 @@ class TestEvalCommand:
         assert result.returncode == 0
 
 
+#: The whole stdout of ``truth-table NAME`` in each output, written out; with
+#: ``--check``, pretty output ends with one more line and records are the same.
+TRUTH_TABLES = {
+    ("not", "pretty"): (
+        "not: swap matrix\n"
+        "[0 1]\n"
+        "[1 0]\n"
+        "\n"
+        f"{TOP} -> {BOT}\n"
+        f"{BOT} -> {TOP}\n"
+    ),
+    ("and", "pretty"): (
+        "and: block matrix [first argument true | first argument false]\n"
+        "[1 0 | 0 0]\n"
+        "[0 1 | 1 1]\n"
+        "\n"
+        f"{TOP} {TOP} -> {TOP}\n"
+        f"{TOP} {BOT} -> {BOT}\n"
+        f"{BOT} {TOP} -> {BOT}\n"
+        f"{BOT} {BOT} -> {BOT}\n"
+    ),
+    ("or", "pretty"): (
+        "or: block matrix [first argument true | first argument false]\n"
+        "[1 1 | 1 0]\n"
+        "[0 0 | 0 1]\n"
+        "\n"
+        f"{TOP} {TOP} -> {TOP}\n"
+        f"{TOP} {BOT} -> {TOP}\n"
+        f"{BOT} {TOP} -> {TOP}\n"
+        f"{BOT} {BOT} -> {BOT}\n"
+    ),
+    ("implies", "pretty"): (
+        "implies: block matrix [first argument true | first argument false]\n"
+        "[1 0 | 1 1]\n"
+        "[0 1 | 0 0]\n"
+        "\n"
+        f"{TOP} {TOP} -> {TOP}\n"
+        f"{TOP} {BOT} -> {BOT}\n"
+        f"{BOT} {TOP} -> {TOP}\n"
+        f"{BOT} {BOT} -> {TOP}\n"
+    ),
+    ("not", "records"): (
+        '{"command": "truth-table", "connective": "not", "tensor": [[0.0, 1.0], [1.0, 0.0]]}\n'
+        '{"command": "truth-table", "connective": "not", "inputs": ["T"], "output": "F"}\n'
+        '{"command": "truth-table", "connective": "not", "inputs": ["F"], "output": "T"}\n'
+    ),
+    ("and", "records"): (
+        '{"command": "truth-table", "connective": "and", '
+        '"tensor": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]]]}\n'
+        '{"command": "truth-table", "connective": "and", "inputs": ["T", "T"], "output": "T"}\n'
+        '{"command": "truth-table", "connective": "and", "inputs": ["T", "F"], "output": "F"}\n'
+        '{"command": "truth-table", "connective": "and", "inputs": ["F", "T"], "output": "F"}\n'
+        '{"command": "truth-table", "connective": "and", "inputs": ["F", "F"], "output": "F"}\n'
+    ),
+    ("or", "records"): (
+        '{"command": "truth-table", "connective": "or", '
+        '"tensor": [[[1.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]}\n'
+        '{"command": "truth-table", "connective": "or", "inputs": ["T", "T"], "output": "T"}\n'
+        '{"command": "truth-table", "connective": "or", "inputs": ["T", "F"], "output": "T"}\n'
+        '{"command": "truth-table", "connective": "or", "inputs": ["F", "T"], "output": "T"}\n'
+        '{"command": "truth-table", "connective": "or", "inputs": ["F", "F"], "output": "F"}\n'
+    ),
+    ("implies", "records"): (
+        '{"command": "truth-table", "connective": "implies", '
+        '"tensor": [[[1.0, 1.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]]]}\n'
+        '{"command": "truth-table", "connective": "implies", "inputs": ["T", "T"], "output": "T"}\n'
+        '{"command": "truth-table", "connective": "implies", "inputs": ["T", "F"], "output": "F"}\n'
+        '{"command": "truth-table", "connective": "implies", "inputs": ["F", "T"], "output": "T"}\n'
+        '{"command": "truth-table", "connective": "implies", "inputs": ["F", "F"], "output": "T"}\n'
+    ),
+}
+
+
 class TestTruthTableCommand:
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+    @pytest.mark.parametrize("name, output", list(TRUTH_TABLES))
+    def test_golden_output(self, name, output, check):
+        argv = ["truth-table", name, "--output", output] + ["--check"] * check
+        expected = TRUTH_TABLES[name, output]
+        if check and output == "pretty":
+            expected += "self-check: ok\n"
+        assert run_main(argv) == (0, expected, "")
+
     def test_and_golden_output(self):
         result = run_cli("truth-table", "and")
         assert result.returncode == 0
@@ -162,7 +243,9 @@ class TestTruthTableCommand:
         assert positions == sorted(positions), message
 
     def test_self_check_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "connective_binary", lambda name, a, b: truth_top())
+        # The fault --check exists to catch: a wrong tensor under a connective.
+        wrong = ConnectiveTensor(Connective.AND, CONNECTIVES[Connective.OR].tensor)
+        monkeypatch.setitem(CONNECTIVES, Connective.AND, wrong)
         assert main(["truth-table", "and", "--check"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "self-check failed" in err

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from tensorlogic.dsl import BINARY
+from tensorlogic.dsl import TABLE
 from tensorlogic.errors import (
     ArityError,
     DimensionMismatchError,
@@ -249,9 +249,7 @@ class TestConnectiveTensors:
 
     def test_block_columns_are_normalized(self):
         for conn in CONNECTIVES.values():
-            arr = conn.tensor.array
-            columns = arr if conn.kind is Connective.NOT else arr.reshape(2, 4)
-            assert np.all(columns.sum(axis=0) == 1.0)
+            assert np.all(conn.tensor.array.reshape(2, -1).sum(axis=0) == 1.0)
 
     def test_constructor_revalidates(self):
         with pytest.raises(InvalidPredicateError):
@@ -265,8 +263,9 @@ class TestConnectiveTensors:
 
 
 TOP, BOT = truth_top(), truth_bot()
-#: Each binary connective's classical table, (left, right) -> value, written out.
+#: Each connective's classical table, operands -> value, written out.
 CLASSICAL = {
+    "not": {(1,): 0, (0,): 1},
     "and": {(1, 1): 1, (1, 0): 0, (0, 1): 0, (0, 0): 0},
     "or": {(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 0},
     "implies": {(1, 1): 1, (1, 0): 0, (0, 1): 1, (0, 0): 1},
@@ -281,20 +280,20 @@ BLOCKS = {
 
 
 class TestConnectiveTable:
-    """The rows of ``dsl.BINARY`` and what is derived from them."""
+    """The rows of ``dsl.TABLE`` and what is derived from them."""
 
     def test_members_keep_their_order(self):
         assert [c.value for c in Connective] == ["not", "and", "or", "implies"]
         assert [c.name for c in Connective] == ["NOT", "AND", "OR", "IMPLIES"]
         assert list(CONNECTIVES) == list(Connective)
         assert Connective.__module__ == "tensorlogic.truth"
-        assert [row.name for row in BINARY] == list(CLASSICAL)
+        assert [row.name for row in TABLE] == list(CLASSICAL)
 
     @pytest.mark.parametrize("name", list(CLASSICAL))
     def test_each_row_holds_its_classical_table(self, name):
-        (row,) = [row for row in BINARY if row.name == name]
-        for (left, right), expected in CLASSICAL[name].items():
-            assert row.holds(bool(left), bool(right)) is bool(expected), (name, left, right)
+        (row,) = [row for row in TABLE if row.name == name]
+        for inputs, expected in CLASSICAL[name].items():
+            assert row.holds(*map(bool, inputs)) is bool(expected), (name, inputs)
 
     @pytest.mark.parametrize("name", list(BLOCKS))
     def test_derived_tensor_is_the_written_out_blocks(self, name):
@@ -302,6 +301,12 @@ class TestConnectiveTable:
         blocks = np.stack([np.array(block, np.float64) for block in BLOCKS[name]], axis=-1)
         assert arr.dtype == blocks.dtype and arr.shape == blocks.shape
         assert arr.tobytes() == blocks.tobytes()
+
+    def test_derived_negation_is_the_swap_matrix(self):
+        arr = connective_tensor("not").tensor.array
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert arr.dtype == swap.dtype and arr.shape == swap.shape
+        assert arr.tobytes() == swap.tobytes()
 
 
 class TestConnectiveEvaluation:
@@ -322,17 +327,18 @@ class TestConnectiveEvaluation:
             assert swapped.t == v.f and swapped.f == v.t
 
     def test_truth_tables_complete(self):
-        # 4 cases for each of the 3 binary connectives plus 2 for negation.
+        # 2 cases for negation plus 4 for each of the 3 binary connectives.
         vec = {1: TOP, 0: BOT}
         checked = 0
         for name, table in CLASSICAL.items():
-            for (a, b), expected in table.items():
-                result = connective_binary(name, vec[a], vec[b])
-                assert result == vec[expected], (name, a, b)
+            for inputs, expected in table.items():
+                operands = [vec[x] for x in inputs]
+                if name == "not":
+                    result = connective_not(*operands)
+                else:
+                    result = connective_binary(name, *operands)
+                assert result == vec[expected], (name, inputs)
                 checked += 1
-        assert connective_not(vec[1]) == vec[0]
-        assert connective_not(vec[0]) == vec[1]
-        checked += 2
         assert checked == 14
 
     def test_conjunction_symbolic_form(self):

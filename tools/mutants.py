@@ -86,9 +86,16 @@ MUTANTS = (
     Mutant(
         "connective-tensor-operands-swapped",
         "src/tensorlogic/truth.py",
-        "holds(c == 0, b == 0)",
-        "holds(b == 0, c == 0)",
+        "for i in reversed(index)",
+        "for i in index",
         ("tests/test_truth.py", "tests/test_evaluator.py::TestEquivalenceSweep"),
+    ),
+    Mutant(
+        "negation-row-holds-its-operand",
+        "src/tensorlogic/dsl.py",
+        "holds = staticmethod(lambda body: not body)",
+        "holds = staticmethod(lambda body: body)",
+        ("tests/test_truth.py", "tests/test_acceptance.py"),
     ),
     Mutant(
         "subset-decided-with-greater-or-equal",
@@ -167,8 +174,8 @@ MUTANTS = (
     Mutant(
         "printer-leaves-and-bare-under-not",
         "src/tensorlogic/dsl.py",
-        "if _precedence(body) < _PRECEDENCE[Not]:",
-        "if _precedence(body) < _PRECEDENCE[And]:",
+        "if _precedence(body) < Not.precedence:",
+        "if _precedence(body) < And.precedence:",
         ("tests/test_dsl.py",),
     ),
     Mutant(
