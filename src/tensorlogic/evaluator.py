@@ -127,13 +127,13 @@ def _constant_load(note: str, tensor: Tensor) -> tuple:
     return note, tensor.size, _constant, tensor
 
 
-#: The constant loads of a plan: the connective tensor of each binary
-#: connective node, the negation tensor ...
+#: The constant loads of a plan: the connective tensor of each row of the
+#: table, keyed by node, with negation's taken out ...
 _CONNECTIVES = {
-    node: _constant_load(f"conn:{node.name}", connective_tensor(node.name).tensor)
-    for node in dsl.BINARY
+    row: _constant_load(f"conn:{row.name}", connective_tensor(row.name).tensor)
+    for row in dsl.TABLE
 }
-_NOT = _constant_load("conn:not", connective_tensor("not").tensor)
+_NOT = _CONNECTIVES.pop(dsl.Not)
 #: ... and the probe that reads a quantifier operand's true row.
 _PROBE = _constant_load("true-row-probe", _TRUE_ROW_PROBE)
 

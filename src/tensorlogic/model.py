@@ -163,9 +163,11 @@ def encode_atom(m: Model, name: str) -> Tensor:
 def _set_bits(arr: np.ndarray) -> np.ndarray:
     """The bool bits of ``arr`` read by the one snap in :mod:`tensorlogic.tensor`,
     or :class:`NonCharacteristicError` if it does not denote a set: the one
-    check of the 0/1 invariant of a set vector.  The decision kernels and
-    :func:`decode_set` read the bits as they are; a caller that stores them
-    in a :class:`Tensor` casts them to float64."""
+    check of the 0/1 invariant of a set vector.  A compiled plan's
+    quantifier rows are exact 0/1, so the snap decides them by its one
+    comparison and never runs its tolerant reduction.  The decision kernels
+    and :func:`decode_set` read the bits as they are; a caller that stores
+    them in a :class:`Tensor` casts them to float64."""
     bits = _snap01(arr)
     if bits is None:
         raise NonCharacteristicError(f"set vector entries must be 0 or 1, got {arr.tolist()}")

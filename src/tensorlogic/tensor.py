@@ -36,16 +36,34 @@ def _snap01(arr: np.ndarray) -> np.ndarray | None:
     read as that bit, or ``None`` if any entry is neither: the one tolerant
     check of the 0/1 invariant on arrays.
 
+    The check has two tiers.  The first compares ``arr`` with its bits and
+    reads the comparison once, at its ``argmax``, which stops at the first
+    entry that differs: if none does, ``arr`` is an exact 0/1 grid and its
+    bits are returned at once.  Every quantifier row of a compiled plan
+    takes this tier: every payload is 0/1 and every connective-tensor column
+    is one basis vector, so every register is exactly 0/1.  NaN, an
+    infinity, a subnormal and any noise differ from their bit, so they take
+    the second tier, :func:`_within_tol`; -0.0 equals its bit, False.  An
+    empty array, where ``argmax`` raises, is the empty set.  A caller that
+    needs floats casts the bits itself.
+    """
+    bits = arr > 0.5
+    off = (arr != bits).ravel()
+    if not off.size or not off[off.argmax()]:
+        return bits
+    return bits if _within_tol(arr, bits) else None
+
+
+def _within_tol(arr: np.ndarray, bits: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` lies within ``FLOAT_TOL`` of its bit:
+    the tolerant tier of :func:`_snap01`, for noisy and probabilistic input.
+
     The check is one reduction, the largest distance of an entry from its
     bit.  NaN propagates through ``maximum`` and fails the comparison, and
     an infinite entry is an infinite distance, so both are refused.
-    ``initial=0.0`` gives an empty array a largest distance of 0, so it is
-    the empty set.  A caller that needs floats casts the bits itself.
+    ``initial=0.0`` gives an empty array a largest distance of 0.
     """
-    bits = arr > 0.5
-    if not np.maximum.reduce(np.abs(arr - bits), axis=None, initial=0.0) <= FLOAT_TOL:
-        return None
-    return bits
+    return np.maximum.reduce(np.abs(arr - bits), axis=None, initial=0.0) <= FLOAT_TOL
 
 
 class Tensor:

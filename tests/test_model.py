@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from tensorlogic import tensor as tensor_module
+from tensorlogic.dsl import parse_formula
 from tensorlogic.errors import (
     ArityError,
     DimensionMismatchError,
@@ -18,7 +21,7 @@ from tensorlogic.errors import (
     UnknownPredicateError,
     UnknownRelationError,
 )
-from tensorlogic.evaluator import execute
+from tensorlogic.evaluator import evaluate, execute
 from tensorlogic.model import (
     Model,
     TruthVec,
@@ -442,6 +445,58 @@ def test_zero_one_check_matches_the_reference_through_every_caller(values):
     else:
         with pytest.raises(NonOneHotError):
             apply_predicate(build_predicate(m, "p"), v)
+
+
+@st.composite
+def zero_one_grids(draw) -> np.ndarray:
+    """A float64 array of rank 1 to 3, possibly empty, of exact 0/1 entries:
+    left exact, with one entry from ``SPECIAL_ENTRIES``, or with noise
+    within ``2 * TOL`` on every entry."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    size = math.prod(shape)
+    arr = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=size, max_size=size)))
+    kind = draw(st.sampled_from(["exact", "special", "noise"]))
+    if kind == "special" and size:
+        arr[draw(st.integers(0, size - 1))] = draw(st.sampled_from(list(SPECIAL_ENTRIES.values())))
+    elif kind == "noise":
+        noise = st.floats(-2 * TOL, 2 * TOL)
+        arr += np.array(draw(st.lists(noise, min_size=size, max_size=size)))
+    return arr.reshape(shape)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(zero_one_grids())
+def test_zero_one_check_matches_the_reference_on_any_shape(arr):
+    """The check's exact-grid tier and its tolerant tier together read the
+    same bits as the plain-Python reference, and refuse what it refuses."""
+    expected = reference_bits(arr.ravel().tolist())
+    bits = _snap01(arr)
+    if expected is None:
+        assert bits is None
+    else:
+        assert bits.dtype == np.bool_ and bits.shape == arr.shape
+        assert bits.ravel().tolist() == expected
+
+
+def test_an_exact_grid_never_reaches_the_tolerant_reduction(monkeypatch):
+    """An exact 0/1 array of any shape, empty or holding -0.0, is decided by
+    the one comparison; so is every quantifier step of a compiled plan."""
+
+    def refuse(arr, bits):
+        raise AssertionError("the tolerant reduction ran on an exact grid")
+
+    monkeypatch.setattr(tensor_module, "_within_tol", refuse)
+    grids = ([0.0], [-0.0, 1.0], np.zeros(0), np.zeros((2, 0)), np.eye(3), np.ones((2, 2, 2)))
+    for values in grids:
+        arr = np.array(values, dtype=np.float64)
+        assert _snap01(arr).tolist() == (arr > 0.5).tolist()
+    m = _MODELS[LONG]
+    assert evaluate(parse_formula("exists p", m), m) == truth_top()
+    assert evaluate(parse_formula("all p (~p)", m), m) == truth_bot()
+    assert evaluate(parse_formula("all (p & ~p) p", m), m) == truth_top()
+    assert decode_set(m, Tensor(np.arange(LONG) == 1)) == {"a1"}
+    with pytest.raises(AssertionError, match="tolerant reduction"):
+        _snap01(np.array([1.0, 0.5]))
 
 
 @pytest.mark.parametrize("noise", [FLOAT_TOL, -FLOAT_TOL], ids=["plus-tol", "minus-tol"])

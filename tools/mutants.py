@@ -203,6 +203,28 @@ MUTANTS = (
         ("tests/test_model.py::test_zero_one_check_matches_the_reference_through_every_caller",),
     ),
     Mutant(
+        "snap-returns-bits-without-the-grid-comparison",
+        "src/tensorlogic/tensor.py",
+        "    off = (arr != bits).ravel()\n"
+        "    if not off.size or not off[off.argmax()]:\n"
+        "        return bits\n",
+        "    return bits\n",
+        (
+            "tests/test_model.py::test_zero_one_check_matches_the_reference_on_any_shape",
+            "tests/test_model.py::test_zero_one_check_matches_the_reference_through_every_caller",
+        ),
+    ),
+    Mutant(
+        "snap-grid-comparison-read-at-argmin",
+        "src/tensorlogic/tensor.py",
+        "not off[off.argmax()]",
+        "not off[off.argmin()]",
+        (
+            "tests/test_model.py::test_zero_one_check_matches_the_reference_on_any_shape",
+            "tests/test_model.py::test_zero_one_check_matches_the_reference_through_every_caller",
+        ),
+    ),
+    Mutant(
         "exists-decided-on-the-raw-row",
         "src/tensorlogic/evaluator.py",
         "value = _VERDICTS[_nonempty(_set_bits(registers[srcs[0]]))]",
